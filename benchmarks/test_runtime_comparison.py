@@ -18,14 +18,10 @@ job, which runs this module under a wall-clock budget).
 
 import time
 
-from repro.core.discretize import discretization_cache_clear
 from repro.core.exact import ExactSettings
-from repro.core.gp_step import gp_step_cache_clear
-from repro.core.heuristic import allocation_cache_clear
 from repro.core.solvers import solve
 from repro.explore.sweep import resource_constraint_sweep
-from repro.minlp.binpacking import shared_packing_memos_clear
-from repro.minlp.branch_and_bound import shared_relaxation_caches_clear
+from repro.obs.memo import clear_all
 from repro.reporting.experiments import case_study, runtime_table
 
 EXACT_SETTINGS = ExactSettings(max_nodes=3, time_limit_seconds=120.0)
@@ -42,15 +38,6 @@ MAX_PACKER_SEARCH_NODES = 100
 #: Batched sweep seeding solves at most the goal + feasibility LP pair per
 #: sweep point on the shared skeleton (measured: exactly 2).
 MAX_BATCHED_LPS_PER_POINT = 4
-
-
-def cold_caches() -> None:
-    """Drop every cross-call memo tier the solvers share."""
-    shared_relaxation_caches_clear()
-    shared_packing_memos_clear()
-    discretization_cache_clear()
-    gp_step_cache_clear()
-    allocation_cache_clear()
 
 
 def test_runtime_table(benchmark, save_artifact):
@@ -80,7 +67,7 @@ def test_exact_path_wall_clock_budget(benchmark):
     """The whole exact side of the runtime table solves in well under the
     ~5 s the seed needed (cold caches; generous 2.5 s CI budget)."""
     def exact_rows():
-        cold_caches()
+        clear_all()
         start = time.perf_counter()
         for case in ("alex-16", "alex-32", "vgg-16"):
             problem = case_study(case, resource_limit_percent=70.0)
@@ -101,7 +88,7 @@ def test_exact_path_work_counters():
     packer nodes on the vgg-16 row; the PR 3-5 branching packer still burned
     ~2.9k nodes on alex-16."""
     for case in ("alex-16", "vgg-16"):
-        cold_caches()
+        clear_all()
         problem = case_study(case, resource_limit_percent=70.0)
 
         exact = solve(problem, method="minlp", exact_settings=EXACT_SETTINGS)
@@ -123,7 +110,7 @@ def test_sweep_batched_lp_counters():
     """A minlp+g sweep seeds its root relaxations on one shared LP skeleton:
     every point reports the work as ``lp_batched_solves``, bounded by the
     goal + feasibility pair the batch solves per point."""
-    cold_caches()
+    clear_all()
     points = resource_constraint_sweep(
         case_study("alex-16"),
         [50.0, 60.0, 70.0, 80.0],

@@ -9,8 +9,9 @@ Four service-level numbers matter for the ROADMAP's serving story:
   problems must cost exactly 64 solves, the rest being cache/dedupe hits;
 * the async job queue (PR 5): submitting that same 1000-request batch must
   return a job id in well under 5 ms, the drained job must still perform
-  exactly 64 solves, and a warm async replay must sustain at least the
-  PR 2 warm replay throughput (the queue may not tax the hot path);
+  exactly 64 solves, and a warm async replay may cost at most twice the
+  synchronous warm replay measured in the same run (the queue may not tax
+  the hot path);
 * the sharded store must not slow the single-threaded batch path.
 
 The snapshots land in ``BENCH_<rev>.json`` via ``benchmarks/conftest.py``.
@@ -35,12 +36,16 @@ from repro.workloads.alexnet import alexnet_fx16
 BATCH_TOTAL = 1000
 BATCH_UNIQUE = 64
 
-#: PR 2's recorded warm replay of this batch (``BENCH_0dc01e0.json``,
-#: ``test_batch_warm_replay_throughput`` mean): 2.67 ms for 1000 requests,
-#: ~375k req/s.  The async queue must sustain at least this rate; the CI
-#: gate allows 2x for runner noise (the container measures ~2.0 ms ~490k
-#: req/s after the decoded-outcome memo).
-PR2_WARM_REPLAY_SECONDS = 0.00267
+#: Bound on a warm async replay (submit + drain + poll) relative to the
+#: synchronous ``solve_batch`` warm replay of the same batch and store,
+#: both measured in one run so the bound does not depend on the host's
+#: speed.  A shared 2-vCPU VM measures 2.2-3.3 and fails it: the job's
+#: ``to_dict`` of its 64 distinct outcomes (~1 ms) and the hand-off to a
+#: worker thread cost about as much as the synchronous replay itself.
+ASYNC_OVER_SYNC_WARM_REPLAY = 2.0
+
+#: Synchronous warm replays timed for that reference mean.
+SYNC_REFERENCE_ROUNDS = 100
 
 #: Acceptance bound on the async submit path: the job id must come back in
 #: under 5 ms (measured ~0.05 ms -- one lock acquisition plus a queue put).
@@ -141,7 +146,7 @@ def test_async_batch_cold_dedupe_and_submit_latency(benchmark):
 
 def test_async_warm_replay_throughput(benchmark):
     """Warm async replay (submit + drain + poll) of the 1000-request batch:
-    zero solves, and the queue sustains the PR 2 warm replay throughput."""
+    zero solves, and at most twice the cost of a synchronous warm replay."""
     problems = _problems(BATCH_UNIQUE)
     requests = [SolveRequest(problem=problems[index % BATCH_UNIQUE]) for index in range(BATCH_TOTAL)]
     service = AllocationService(store=ShardedResultStore(num_shards=4), job_workers=2)
@@ -155,11 +160,15 @@ def test_async_warm_replay_throughput(benchmark):
     finished = benchmark(replay)
     assert finished["report"]["solves"] == 0
     assert finished["report"]["memory_hits"] == BATCH_UNIQUE
-    service.close()
-    # >= PR 2 warm replay throughput, with 2x headroom for runner noise.
     # (stats is None under --benchmark-disable, where nothing is timed.)
     if benchmark.stats is not None:
-        assert benchmark.stats["mean"] < 2 * PR2_WARM_REPLAY_SECONDS
+        start = time.perf_counter()
+        for _ in range(SYNC_REFERENCE_ROUNDS):
+            _, report = solve_batch(requests, store=service.store)
+        sync_mean = (time.perf_counter() - start) / SYNC_REFERENCE_ROUNDS
+        assert report.solves == 0
+        assert benchmark.stats["mean"] <= ASYNC_OVER_SYNC_WARM_REPLAY * sync_mean
+    service.close()
 
 
 def test_async_warm_replay_with_wal(benchmark, tmp_path):

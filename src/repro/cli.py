@@ -8,7 +8,7 @@ Three sub-commands cover the common workflows::
     repro-fpga experiment figure3 --output figure3.csv
     repro-fpga experiment figure2 --jobs 4   # sweep on a 4-worker process pool
     repro-fpga experiment hetero-skew        # heterogeneous class-skew sweep
-    repro-fpga serve --port 8000 --jobs 4 --cache-dir ~/.cache/repro-fpga
+    repro-fpga serve --port 8000 --cache-dir ~/.cache/repro-fpga
     repro-fpga serve --shards 8 --workers 4 --cache-cap 268435456 --cache-ttl 86400
     repro-fpga serve --trace --quiet          # record solve traces, no access log
     repro-fpga fleet --tenants 3 --classes 2,2   # multi-tenant fleet allocation
@@ -113,12 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument("--host", default="127.0.0.1", help="bind address")
     serve_parser.add_argument("--port", type=int, default=8000, help="TCP port (0 = ephemeral)")
-    serve_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="persistent worker processes for batch fan-out (0 = one per CPU, 1 = in-process)",
-    )
     serve_parser.add_argument(
         "--cache-dir",
         type=Path,
@@ -384,13 +378,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         return 2
     if args.worker_processes > 1:
         return _run_serve_pool(args)
-    jobs = available_workers() if args.jobs == 0 else args.jobs
-    if jobs <= 1:
-        executor = SweepExecutor(ExecutorSettings(parallel=False))
-    else:
-        executor = SweepExecutor(
-            ExecutorSettings(parallel=True, max_workers=jobs), persistent=True
-        )
     if args.shards < 1:
         print("--shards must be >= 1", file=sys.stderr)
         return 2
@@ -410,7 +397,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         )
     service = AllocationService(
         store=store,
-        executor=executor,
         job_workers=args.workers,
         tracing=True if args.trace else None,
         wal=args.wal_dir,
@@ -420,7 +406,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     tier = f"memory+disk ({args.cache_dir})" if args.cache_dir else "memory-only"
     durability = f"wal ({args.wal_dir})" if args.wal_dir else "none"
     print(
-        f"result cache: {tier}; shards: {args.shards}; batch workers: {jobs}; "
+        f"result cache: {tier}; shards: {args.shards}; "
         f"async job workers: {args.workers}; tracing: "
         f"{'on' if service.tracing else 'off'}; durability: {durability}",
         flush=True,

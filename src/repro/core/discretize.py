@@ -26,7 +26,6 @@ A naive rounding fallback is also provided for ablation.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -43,6 +42,7 @@ from ..minlp.branch_and_bound import (
     shared_relaxation_cache,
 )
 from ..minlp.errors import InfeasibleProblemError
+from ..obs.memo import BoundedMemo
 from .gp_step import build_vectorized_minmax
 from .problem import AllocationProblem
 
@@ -66,44 +66,11 @@ class DiscretizationError(Exception):
 # --------------------------------------------------------------------------- #
 # Cross-call memo: sweeps re-discretise identical GP optima many times
 # --------------------------------------------------------------------------- #
-_MEMO_MAX_ENTRIES = 512
-_memo: "OrderedDict[tuple, DiscretizationResult]" = OrderedDict()
-_memo_hits = 0
-_memo_misses = 0
-
-
-def discretization_cache_info() -> dict[str, int]:
-    """Hit/miss/size counters of the cross-call discretisation memo."""
-    return {"hits": _memo_hits, "misses": _memo_misses, "entries": len(_memo)}
-
-
-def discretization_cache_clear() -> None:
-    """Empty the cross-call memo (used by tests and benchmarks)."""
-    global _memo_hits, _memo_misses
-    _memo.clear()
-    _memo_hits = 0
-    _memo_misses = 0
-
-
-def _memo_key(
-    problem: AllocationProblem,
-    counts_hat: Mapping[str, float],
-    max_nodes: int,
-    time_limit_seconds: float,
-) -> tuple | None:
-    """Value-based memo key; ``None`` when the problem is unhashable."""
-    try:
-        key = (
-            problem.pipeline,
-            problem.platform,
-            tuple(sorted(counts_hat.items())),
-            max_nodes,
-            time_limit_seconds,
-        )
-        hash(key)  # hashability probe; the key itself is stored (value equality)
-    except TypeError:
-        return None
-    return key
+_memo: "BoundedMemo[DiscretizationResult]" = BoundedMemo(512, name="discretize")
+#: Hit/miss/size counters of the cross-call discretisation memo.
+discretization_cache_info = _memo.stats
+#: Empty the cross-call memo (used by tests and benchmarks).
+discretization_cache_clear = _memo.clear
 
 
 def _aggregate_feasible(problem: AllocationProblem, counts: Mapping[str, int]) -> bool:
@@ -138,15 +105,17 @@ def discretize_counts(
     DiscretizationError
         If no feasible integer assignment exists.
     """
-    global _memo_hits, _memo_misses
-    memo_key = _memo_key(problem, counts_hat, max_nodes, time_limit_seconds) if use_cache else None
-    if memo_key is not None:
+    memo_key = (
+        problem.pipeline,
+        problem.platform,
+        tuple(sorted(counts_hat.items())),
+        max_nodes,
+        time_limit_seconds,
+    )
+    if use_cache:
         cached = _memo.get(memo_key)
         if cached is not None:
-            _memo_hits += 1
-            _memo.move_to_end(memo_key)
             return cached
-        _memo_misses += 1
 
     names = problem.kernel_names
     arrays = problem.arrays()
@@ -246,13 +215,11 @@ def discretize_counts(
         cache_hits=result.relaxation_cache_hits,
         cache_misses=result.relaxation_cache_misses,
     )
-    if memo_key is not None and discretization.proven_optimal:
+    if use_cache and discretization.proven_optimal:
         # Only proven optima are memoized: a result truncated by the node or
         # time limit must not pin a machine-load-dependent II for every
         # later identical call.
-        if len(_memo) >= _MEMO_MAX_ENTRIES:
-            _memo.popitem(last=False)
-        _memo[memo_key] = discretization
+        _memo.put(memo_key, discretization)
     return discretization
 
 

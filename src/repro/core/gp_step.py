@@ -21,8 +21,6 @@ Four interchangeable backends solve it:
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -31,6 +29,7 @@ import numpy as np
 from ..gp import GPModel, Monomial, Variable, solve as solve_gp
 from ..gp.errors import InfeasibleError
 from ..gp.minmax import CapacityConstraint, MinMaxLatencyProblem, VectorizedMinMaxProblem
+from ..obs.memo import BoundedMemo
 from ..obs.trace import span
 from .problem import AllocationProblem
 
@@ -143,35 +142,11 @@ def build_gp_model(problem: AllocationProblem) -> GPModel:
 # The relaxation is the beta = 0 symmetric program -- objective weights never
 # enter it -- so every weight variant of a problem shares the entry.
 # --------------------------------------------------------------------------- #
-_MEMO_MAX_ENTRIES = 256
-_memo: "OrderedDict[tuple, GPStepResult]" = OrderedDict()
-_memo_lock = threading.Lock()
-_memo_hits = 0
-_memo_misses = 0
-
-
-def gp_step_cache_info() -> dict[str, int]:
-    """Hit/miss/size counters of the cross-call GP-step memo."""
-    return {"hits": _memo_hits, "misses": _memo_misses, "entries": len(_memo)}
-
-
-def gp_step_cache_clear() -> None:
-    """Empty the cross-call memo (used by tests and benchmarks)."""
-    global _memo_hits, _memo_misses
-    with _memo_lock:
-        _memo.clear()
-        _memo_hits = 0
-        _memo_misses = 0
-
-
-def _memo_key(problem: AllocationProblem, backend: str) -> tuple | None:
-    """Value-based memo key; ``None`` when the problem is unhashable."""
-    try:
-        key = (problem.pipeline, problem.platform, backend)
-        hash(key)
-    except TypeError:
-        return None
-    return key
+_memo: "BoundedMemo[GPStepResult]" = BoundedMemo(256, name="gp_step")
+#: Hit/miss/size counters of the cross-call GP-step memo.
+gp_step_cache_info = _memo.stats
+#: Empty the cross-call memo (used by tests and benchmarks).
+gp_step_cache_clear = _memo.clear
 
 
 def solve_gp_step(problem: AllocationProblem, backend: str = "bisection") -> GPStepResult:
@@ -185,25 +160,15 @@ def solve_gp_step(problem: AllocationProblem, backend: str = "bisection") -> GPS
     repro.gp.errors.InfeasibleError
         If even one CU per kernel exceeds the aggregated platform capacity.
     """
-    global _memo_hits, _memo_misses
     with span("gp_step") as trace_span:
-        key = _memo_key(problem, backend)
-        if key is not None:
-            with _memo_lock:
-                cached = _memo.get(key)
-                if cached is not None:
-                    _memo.move_to_end(key)
-                    _memo_hits += 1
-                    if trace_span is not None:
-                        trace_span.attributes["cached"] = True
-                    return cached
-                _memo_misses += 1
+        key = (problem.pipeline, problem.platform, backend)
+        cached = _memo.get(key)
+        if cached is not None:
+            if trace_span is not None:
+                trace_span.attributes["cached"] = True
+            return cached
         result = _solve_gp_step_uncached(problem, backend)
-        if key is not None:
-            with _memo_lock:
-                if len(_memo) >= _MEMO_MAX_ENTRIES:
-                    _memo.popitem(last=False)
-                _memo[key] = result
+        _memo.put(key, result)
         if trace_span is not None:
             trace_span.attributes["backend"] = backend
         return result

@@ -9,12 +9,11 @@ chains them and packages the result.
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..gp.errors import InfeasibleError
+from ..obs.memo import BoundedMemo
 from ..obs.trace import span
 from .allocator import AllocatorResult, AllocatorSettings, GreedyAllocator
 from .discretize import DiscretizationError, discretize_counts, round_counts
@@ -51,25 +50,11 @@ class HeuristicSettings:
 # problem shares the entry.  The GP and discretisation stages carry their own
 # memos (:mod:`repro.core.gp_step`, :mod:`repro.core.discretize`).
 # --------------------------------------------------------------------------- #
-_MEMO_MAX_ENTRIES = 512
-_memo: "OrderedDict[tuple, AllocatorResult]" = OrderedDict()
-_memo_lock = threading.Lock()
-_memo_hits = 0
-_memo_misses = 0
-
-
-def allocation_cache_info() -> dict[str, int]:
-    """Hit/miss/size counters of the cross-call allocation memo."""
-    return {"hits": _memo_hits, "misses": _memo_misses, "entries": len(_memo)}
-
-
-def allocation_cache_clear() -> None:
-    """Empty the cross-call memo (used by tests and benchmarks)."""
-    global _memo_hits, _memo_misses
-    with _memo_lock:
-        _memo.clear()
-        _memo_hits = 0
-        _memo_misses = 0
+_memo: "BoundedMemo[AllocatorResult]" = BoundedMemo(512, name="allocation")
+#: Hit/miss/size counters of the cross-call allocation memo.
+allocation_cache_info = _memo.stats
+#: Empty the cross-call memo (used by tests and benchmarks).
+allocation_cache_clear = _memo.clear
 
 
 def _allocate_memoized(
@@ -77,26 +62,11 @@ def _allocate_memoized(
     settings: AllocatorSettings,
     totals: "dict[str, int]",
 ) -> AllocatorResult:
-    global _memo_hits, _memo_misses
-    try:
-        key = (problem.pipeline, problem.platform, settings, tuple(sorted(totals.items())))
-        hash(key)
-    except TypeError:
-        key = None
-    if key is not None:
-        with _memo_lock:
-            cached = _memo.get(key)
-            if cached is not None:
-                _memo.move_to_end(key)
-                _memo_hits += 1
-                return cached
-            _memo_misses += 1
-    result = GreedyAllocator(problem, settings).allocate(totals)
-    if key is not None:
-        with _memo_lock:
-            if len(_memo) >= _MEMO_MAX_ENTRIES:
-                _memo.popitem(last=False)
-            _memo[key] = result
+    key = (problem.pipeline, problem.platform, settings, tuple(sorted(totals.items())))
+    result = _memo.get(key)
+    if result is None:
+        result = GreedyAllocator(problem, settings).allocate(totals)
+        _memo.put(key, result)
     return result
 
 

@@ -5,8 +5,8 @@ Every figure of the paper is a sweep: dozens to hundreds of independent
 those calls are executed:
 
 * :class:`SweepExecutor` maps a task function over a list of picklable task
-  objects, either serially (in deterministic chunks) or on a
-  ``ProcessPoolExecutor`` when multiple CPUs are available;
+  objects, either serially (in deterministic chunks) or, when the caller
+  asks for it (``repro experiment --jobs N``), on a ``ProcessPoolExecutor``;
 * :class:`SolveTask` (+ :func:`run_solve_task`) is the standard work unit --
   one problem, one method -- used by :mod:`repro.explore.sweep`,
   :mod:`repro.explore.compare` and :mod:`repro.explore.runtime`.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -53,26 +52,24 @@ def available_workers() -> int:
 class ExecutorSettings:
     """How a sweep should be executed.
 
-    ``parallel=None`` auto-detects: a process pool is used only when more
-    than one CPU is available and the task list is large enough to amortise
-    worker start-up.  ``chunk_size=None`` derives a chunk size that gives
-    every worker a handful of batches.
+    Process parallelism is the caller's decision: the default is serial, so
+    a library or service that builds an executor never forks on its own (a
+    pool worker is a daemon process and may not have children).
+    ``chunk_size=None`` derives a chunk size that gives every worker a
+    handful of batches.
     """
 
-    parallel: bool | None = None
+    parallel: bool = False
     max_workers: int | None = None
     chunk_size: int | None = None
-    min_tasks_for_pool: int = 4
 
     def resolved_workers(self) -> int:
         if self.max_workers is not None:
             return max(1, self.max_workers)
         return available_workers()
 
-    def should_parallelize(self, num_tasks: int) -> bool:
-        if self.parallel is not None:
-            return self.parallel and self.resolved_workers() > 1
-        return self.resolved_workers() > 1 and num_tasks >= self.min_tasks_for_pool
+    def should_parallelize(self) -> bool:
+        return self.parallel and self.resolved_workers() > 1
 
 
 def _run_chunk(function: Callable[[TaskT], ResultT], chunk: list[TaskT]) -> list[ResultT]:
@@ -83,39 +80,12 @@ def _run_chunk(function: Callable[[TaskT], ResultT], chunk: list[TaskT]) -> list
 class SweepExecutor:
     """Maps a function over tasks, in order, serially or on a process pool.
 
-    By default each :meth:`map` call spins a pool up and tears it down again,
-    which is right for one-shot sweeps.  A *persistent* executor
-    (``persistent=True``) keeps the pool alive between calls so a resident
-    service (``repro serve``) does not pay worker start-up -- nor lose the
-    workers' warm memo caches -- on every batch.  Call :meth:`close` (or use
-    the executor as a context manager) to release the workers.
+    A parallel executor spins a pool up for each :meth:`map` call and tears
+    it down again, which is right for one-shot sweeps.
     """
 
-    def __init__(self, settings: ExecutorSettings = ExecutorSettings(), persistent: bool = False):
+    def __init__(self, settings: ExecutorSettings = ExecutorSettings()):
         self.settings = settings
-        self.persistent = persistent
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-
-    def _persistent_pool(self) -> ProcessPoolExecutor:
-        """The resident pool, created once (the HTTP server maps concurrently)."""
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.settings.resolved_workers())
-            return self._pool
-
-    def close(self) -> None:
-        """Shut down the persistent pool, if one was ever started."""
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown()
-                self._pool = None
-
-    def __enter__(self) -> "SweepExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -132,7 +102,7 @@ class SweepExecutor:
         if not task_list:
             return []
         chunks = self._chunked(task_list)
-        if self.settings.should_parallelize(len(task_list)):
+        if self.settings.should_parallelize():
             try:
                 return self._map_pool(function, chunks)
             except (BrokenProcessPool, pickle.PicklingError, AttributeError, OSError):
@@ -159,23 +129,13 @@ class SweepExecutor:
     def _map_pool(
         self, function: Callable[[TaskT], ResultT], chunks: list[list[TaskT]]
     ) -> list[ResultT]:
-        if self.persistent:
-            pool = self._persistent_pool()
-            try:
-                futures = [pool.submit(_run_chunk, function, chunk) for chunk in chunks]
-                return [result for future in futures for result in future.result()]
-            except BrokenProcessPool:
-                # A broken pool never recovers; drop it so the next map call
-                # starts fresh, and let map() fall back to the serial path.
-                self.close()
-                raise
         workers = min(self.settings.resolved_workers(), len(chunks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_chunk, function, chunk) for chunk in chunks]
             return [result for future in futures for result in future.result()]
 
 
-#: Default executor: serial chunks unless the host has CPUs to spare.
+#: Default executor: serial chunks.
 DEFAULT_EXECUTOR = SweepExecutor()
 
 

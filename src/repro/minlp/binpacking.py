@@ -49,6 +49,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..obs.memo import BoundedMemo
 from ..obs.trace import span
 from . import _packcore
 
@@ -255,27 +256,14 @@ def _strip_assignment(
 
 #: Bounded registry of packing memos shared across packer instances, keyed by
 #: the packer configuration (value-based, so equivalent problems share).
-_SHARED_MEMOS: "dict[tuple, PackingMemo]" = {}
-_SHARED_MEMO_LIMIT = 64
-_SHARED_MEMOS_LOCK = threading.Lock()
+_SHARED_MEMOS: "BoundedMemo[PackingMemo]" = BoundedMemo(64, name="packing_memos")
+#: Drop every shared packing memo (used by tests and benchmarks).
+shared_packing_memos_clear = _SHARED_MEMOS.clear
 
 
 def shared_packing_memo(key: tuple, max_entries: int = 16384) -> PackingMemo:
     """Packing memo shared by every packer with the same configuration key."""
-    with _SHARED_MEMOS_LOCK:
-        memo = _SHARED_MEMOS.get(key)
-        if memo is None:
-            if len(_SHARED_MEMOS) >= _SHARED_MEMO_LIMIT:
-                _SHARED_MEMOS.pop(next(iter(_SHARED_MEMOS)))
-            memo = PackingMemo(max_entries=max_entries)
-            _SHARED_MEMOS[key] = memo
-    return memo
-
-
-def shared_packing_memos_clear() -> None:
-    """Drop every shared packing memo (used by tests and benchmarks)."""
-    with _SHARED_MEMOS_LOCK:
-        _SHARED_MEMOS.clear()
+    return _SHARED_MEMOS.get_or_create(key, lambda: PackingMemo(max_entries=max_entries))
 
 
 class VectorBinPacker:

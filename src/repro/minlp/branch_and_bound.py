@@ -32,12 +32,12 @@ import heapq
 import inspect
 import itertools
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
+from ..obs.memo import BoundedMemo
 from ..obs.trace import span
 from .bounds import VariableBounds
 from .errors import InfeasibleProblemError
@@ -74,7 +74,7 @@ class BBStatus(Enum):
     NO_SOLUTION = "no-solution"  # stopped at a limit without any incumbent
 
 
-class RelaxationCache:
+class RelaxationCache(BoundedMemo):
     """Memo of relaxation results keyed on canonical node bounds.
 
     Within one tree the boxes of distinct nodes are disjoint, so the payoff
@@ -83,58 +83,28 @@ class RelaxationCache:
     parameters, a root relaxation that equals the already-solved GP step)
     return instantly.  Use :func:`shared_relaxation_cache` with a value-key
     identifying the underlying problem to get that sharing; node bounds
-    alone are not a safe key across different problems.  Eviction is FIFO
-    with a bounded entry count.
+    alone are not a safe key across different problems.
     """
 
     def __init__(self, max_entries: int = 8192):
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self._max_entries = max_entries
-        self._entries: dict[tuple, RelaxationResult] = {}
-        # Shared caches are hit concurrently by the threaded HTTP service;
-        # the lock keeps eviction-during-insert and counter updates safe.
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+        super().__init__(max_entries)
 
     @staticmethod
     def key_of(bounds: VariableBounds) -> tuple:
         return tuple(sorted((name, *bounds[name]) for name in bounds))
 
     def get(self, bounds: VariableBounds) -> "RelaxationResult | None":
-        key = self.key_of(bounds)
-        with self._lock:
-            result = self._entries.get(key)
-            if result is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return result
+        return super().get(self.key_of(bounds))
 
     def put(self, bounds: VariableBounds, result: "RelaxationResult") -> None:
-        key = self.key_of(bounds)
-        with self._lock:
-            if len(self._entries) >= self._max_entries:
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[key] = result
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
+        super().put(self.key_of(bounds), result)
 
 
 #: Bounded registry of relaxation caches shared across solver runs, keyed by
 #: a caller-supplied value-key identifying the underlying problem.
-_SHARED_CACHES: "dict[tuple, RelaxationCache]" = {}
-_SHARED_CACHE_LIMIT = 64
-_SHARED_CACHES_LOCK = threading.Lock()
+_SHARED_CACHES: "BoundedMemo[RelaxationCache]" = BoundedMemo(64, name="relaxation_caches")
+#: Drop every shared relaxation cache (used by tests and benchmarks).
+shared_relaxation_caches_clear = _SHARED_CACHES.clear
 
 
 def shared_relaxation_cache(key: tuple, max_entries: int = 8192) -> RelaxationCache:
@@ -143,23 +113,9 @@ def shared_relaxation_cache(key: tuple, max_entries: int = 8192) -> RelaxationCa
     Node relaxations depend only on the problem data and the node's box
     bounds, so separate branch-and-bound runs over one problem (repeated
     discretisations, sweep re-solves) can reuse each other's node bounds.
-    The caller's ``key`` must identify the problem by value; the registry
-    keeps at most ``_SHARED_CACHE_LIMIT`` caches (FIFO eviction).
+    The caller's ``key`` must identify the problem by value.
     """
-    with _SHARED_CACHES_LOCK:
-        cache = _SHARED_CACHES.get(key)
-        if cache is None:
-            if len(_SHARED_CACHES) >= _SHARED_CACHE_LIMIT:
-                _SHARED_CACHES.pop(next(iter(_SHARED_CACHES)))
-            cache = RelaxationCache(max_entries=max_entries)
-            _SHARED_CACHES[key] = cache
-    return cache
-
-
-def shared_relaxation_caches_clear() -> None:
-    """Drop every shared relaxation cache (used by tests and benchmarks)."""
-    with _SHARED_CACHES_LOCK:
-        _SHARED_CACHES.clear()
+    return _SHARED_CACHES.get_or_create(key, lambda: RelaxationCache(max_entries=max_entries))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
-"""Observability substrate: phase-level tracing and a metrics registry.
+"""Observability substrate: tracing, metrics and the shared memo primitive.
 
 Zero-dependency by design (stdlib only) so the solver core can be
-instrumented without conditional imports.  Two halves:
+instrumented without conditional imports.  Three parts:
 
 - :mod:`repro.obs.trace` -- nested spans recorded into a per-request
   :class:`SolveTrace`.  Off by default: ``span()`` costs one ContextVar
@@ -11,7 +11,12 @@ instrumented without conditional imports.  Two halves:
 - :mod:`repro.obs.metrics` -- counters, gauges and fixed-log-bucket
   latency histograms with one lock per instrument, rendered as
   Prometheus text exposition format 0.0.4.
+- :mod:`repro.obs.memo` -- :class:`BoundedMemo`, the one bounded LRU
+  behind every cross-call cache; :func:`clear_all` empties every named
+  memo (a cold start) and :func:`memo_stats` reports their counters.
 """
+
+from .memo import BoundedMemo, clear_all, memo_stats
 
 from .metrics import (
     Counter,
@@ -34,6 +39,9 @@ from .trace import (
 )
 
 __all__ = [
+    "BoundedMemo",
+    "clear_all",
+    "memo_stats",
     "Counter",
     "Gauge",
     "Histogram",

@@ -13,13 +13,9 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from ..core.discretize import discretization_cache_clear
 from ..core.exact import ExactSettings
-from ..core.gp_step import gp_step_cache_clear
-from ..core.heuristic import allocation_cache_clear
 from ..core.solvers import solve
-from ..minlp.binpacking import shared_packing_memos_clear
-from ..minlp.branch_and_bound import shared_relaxation_caches_clear
+from ..obs.memo import clear_all
 from ..obs.trace import SolveTrace, start_trace
 from .experiments import case_study
 from .tables import TextTable
@@ -30,19 +26,6 @@ RUNTIME_CASES = ("alex-16", "alex-32", "vgg-16")
 RUNTIME_METHODS = ("gp+a", "minlp", "minlp+g")
 
 
-def cold_solver_caches() -> None:
-    """Drop every cross-call memo tier the solvers share.
-
-    Traced rows are solved cold so the spans measure real work, not memo
-    lookups (mirroring the perf-gate benchmark's cache discipline).
-    """
-    shared_relaxation_caches_clear()
-    shared_packing_memos_clear()
-    discretization_cache_clear()
-    gp_step_cache_clear()
-    allocation_cache_clear()
-
-
 def traced_runtime_rows(
     cases: Sequence[str] = RUNTIME_CASES,
     methods: Sequence[str] = RUNTIME_METHODS,
@@ -51,7 +34,9 @@ def traced_runtime_rows(
 ) -> list[dict[str, Any]]:
     """Solve every (case, method) row cold under a trace.
 
-    Returns ``[{"case", "method", "trace", "wall_seconds"}, ...]`` with
+    Every row starts from :func:`~repro.obs.memo.clear_all`, so the spans
+    measure real work, not memo lookups.  Returns
+    ``[{"case", "method", "trace", "wall_seconds"}, ...]`` with
     the :class:`~repro.obs.trace.SolveTrace` objects still live (callers
     serialise via ``trace.as_dict()`` / ``traces_to_jsonl``).
     """
@@ -59,7 +44,7 @@ def traced_runtime_rows(
     for case in cases:
         problem = case_study(case, resource_limit_percent=resource_constraint)
         for method in methods:
-            cold_solver_caches()
+            clear_all()
             with start_trace("solve", case=case, method=method) as trace:
                 solve(problem, method=method, exact_settings=exact_settings)
             rows.append(

@@ -11,9 +11,7 @@ reusing the memo caches of :mod:`repro.core.discretize`).
 from __future__ import annotations
 
 import json
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -23,6 +21,7 @@ from ..core.problem import AllocationProblem
 from ..core.solution import SolveOutcome, SolveStatus
 from ..core.solvers import METHODS
 from ..explore.executor import DEFAULT_EXECUTOR, SolveTask, SweepExecutor, run_solve_task
+from ..obs.memo import BoundedMemo
 from ..obs.trace import span
 from ..workloads.serialization import SerializationError, problem_from_dict, problem_to_dict
 from .canonical import canonical_fpga_order
@@ -51,15 +50,9 @@ def encode_outcome(outcome: SolveOutcome, problem: AllocationProblem) -> str:
 #: two solves of one fingerprint yield semantically equal results but may
 #: differ in the wall-clock field, and a warm hit must return exactly what
 #: the store holds.
-_DECODE_MEMO_LIMIT = 4096
-_decode_memo: "OrderedDict[tuple, tuple[str, SolveOutcome]]" = OrderedDict()
-_decode_memo_lock = threading.Lock()
-
-
-def decode_memo_clear() -> None:
-    """Drop every memoized decoded outcome (used by tests)."""
-    with _decode_memo_lock:
-        _decode_memo.clear()
+_decode_memo: "BoundedMemo[tuple[str, SolveOutcome]]" = BoundedMemo(4096, name="decode")
+#: Drop every memoized decoded outcome (used by tests).
+decode_memo_clear = _decode_memo.clear
 
 
 def decode_outcome(
@@ -71,25 +64,16 @@ def decode_outcome(
     With a ``fingerprint`` the decoded object is memoized: repeat warm hits
     for the same (fingerprint, problem) pair skip the JSON parse entirely.
     """
-    key: tuple | None = None
+    key = (fingerprint, problem)
     if fingerprint is not None:
-        try:
-            key = (fingerprint, problem)
-            with _decode_memo_lock:
-                entry = _decode_memo.get(key)
-                if entry is not None and entry[0] == payload:
-                    _decode_memo.move_to_end(key)
-                    return entry[1]
-        except TypeError:  # ad hoc unhashable problem: decode directly
-            key = None
+        entry = _decode_memo.get(key)
+        if entry is not None and entry[0] == payload:
+            return entry[1]
     outcome = SolveOutcome.from_dict(
         outcome_payload_from_canonical(json.loads(payload), problem), problem=problem
     )
-    if key is not None:
-        with _decode_memo_lock:
-            _decode_memo[key] = (payload, outcome)
-            while len(_decode_memo) > _DECODE_MEMO_LIMIT:
-                _decode_memo.popitem(last=False)
+    if fingerprint is not None:
+        _decode_memo.put(key, (payload, outcome))
     return outcome
 
 

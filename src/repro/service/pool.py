@@ -17,6 +17,10 @@ fingerprints onto groups with the consistent hash ring of
 * **graceful drain** -- ``close()`` sends SIGTERM; each worker stops its
   accept loop, finishes queued jobs, final-fsyncs and closes its WAL
   segments, then exits 0 (escalation to SIGKILL only after a timeout);
+* **parent-death watchdog** -- a worker whose supervisor dies without
+  draining it (``kill -9`` of the router) notices its ``getppid()`` change
+  and takes the same drain path, so no orphan keeps serving or holding its
+  group's WAL open;
 * **crash recovery** -- a worker that dies (``kill -9``, OOM, a bug) is
   restarted automatically *on the same group directory*, so its
   ``AllocationService`` replays the WAL and every acknowledged job the
@@ -47,12 +51,15 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
 #: How long to wait for a spawned worker's port handshake.
 SPAWN_TIMEOUT_SECONDS = 60.0
+
+#: How often a worker's watchdog checks that its supervisor is alive.
+PARENT_POLL_SECONDS = 0.5
 
 #: Name of one group's directory inside the pool data dir.
 GROUP_DIR_PATTERN = "group-{group:02d}"
@@ -126,13 +133,22 @@ def build_worker_service(spec: WorkerSpec) -> Any:
     )
 
 
+def _watch_parent(server: Any) -> None:
+    """Drain the worker once its supervisor is gone (it is re-parented)."""
+    parent = os.getppid()
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL_SECONDS)
+    server.shutdown()
+
+
 def worker_main(spec: WorkerSpec, conn: Any) -> None:
     """Entry point of one shard-group worker process.
 
     Builds the group's service (replaying its WAL), binds an ephemeral
     port, reports ``("ready", port)`` through ``conn``, then serves until
-    SIGTERM/SIGINT.  The drain path is the graceful one: stop accepting,
-    finish queued jobs, final-fsync and close the WAL, exit 0.
+    SIGTERM/SIGINT or the death of its supervisor.  The drain path is the
+    graceful one: stop accepting, finish queued jobs, final-fsync and close
+    the WAL, exit 0.
     """
     from .server import AllocationHTTPServer, install_shutdown_signals
 
@@ -148,6 +164,9 @@ def worker_main(spec: WorkerSpec, conn: Any) -> None:
     install_shutdown_signals(server)
     conn.send(("ready", server.server_address[1]))
     conn.close()
+    threading.Thread(
+        target=_watch_parent, args=(server,), name="repro-parent-watchdog", daemon=True
+    ).start()
     try:
         server.serve_forever()
     finally:

@@ -51,6 +51,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .. import __version__
+from ..obs.memo import BoundedMemo
 from ..obs.metrics import MetricsRegistry
 from ..workloads.serialization import SerializationError
 from .batch import request_from_dict
@@ -86,34 +87,6 @@ class WorkerUnavailableError(RuntimeError):
             "retry later"
         )
         self.group = group
-
-
-class _FingerprintMemo:
-    """Bounded LRU of raw request-document JSON -> canonical fingerprint."""
-
-    def __init__(self, capacity: int = 4096):
-        self.capacity = capacity
-        self._entries: "OrderedDict[str, str]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def fingerprint_of(self, document: Mapping[str, Any]) -> str:
-        key = json.dumps(document, sort_keys=True, separators=(",", ":"))
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return cached
-            self.misses += 1
-        fingerprint = request_from_dict(document).fingerprint()
-        with self._lock:
-            self._entries[key] = fingerprint
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        return fingerprint
 
 
 # --------------------------------------------------------------------------- #
@@ -275,7 +248,7 @@ class RouterService:
         self._ring = ring(pool.num_groups, replicas)
         self._ring_lock = threading.Lock()
         self._resize_lock = threading.Lock()
-        self._memo = _FingerprintMemo(capacity=fingerprint_memo)
+        self._memo: BoundedMemo[str] = BoundedMemo(fingerprint_memo)
         self._local = threading.local()
         self._lock = threading.Lock()
         self._requests = 0
@@ -332,9 +305,13 @@ class RouterService:
         return self.ring.group_of(fingerprint)
 
     def fingerprint_of(self, document: Mapping[str, Any]) -> str:
-        before = self._memo.hits
-        fingerprint = self._memo.fingerprint_of(document)
-        if self._memo.hits > before:
+        """Canonical fingerprint of a request document, memoized on its JSON."""
+        key = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        fingerprint = self._memo.get(key)
+        if fingerprint is None:
+            fingerprint = request_from_dict(document).fingerprint()
+            self._memo.put(key, fingerprint)
+        else:
             self._routing_memo_hits.inc()
         return fingerprint
 
@@ -851,6 +828,7 @@ class RouterService:
         cache_sizes: dict[str, int] = {}
         jobs_totals: dict[str, Any] = {}
         solver_totals: dict[str, int] = {}
+        memo_totals: dict[str, dict[str, int]] = {"router_fingerprint": self._memo.stats()}
         admission_totals = {"rejected_429": 0, "rejected_503": 0}
         wal_totals: dict[str, Any] = {"enabled": False}
         for document in per_worker.values():
@@ -871,6 +849,10 @@ class RouterService:
                 jobs_totals[key] = jobs_totals.get(key, 0) + value
             for key, value in document.get("solver", {}).items():
                 solver_totals[key] = solver_totals.get(key, 0) + value
+            for name, counters in document.get("memos", {}).items():
+                totals = memo_totals.setdefault(name, {})
+                for key, value in counters.items():
+                    totals[key] = totals.get(key, 0) + value
             admission = document.get("admission", {})
             for key in admission_totals:
                 admission_totals[key] += admission.get(key, 0)
@@ -909,6 +891,7 @@ class RouterService:
             "cache_sizes": cache_sizes,
             "jobs": jobs_totals,
             "solver": solver_totals,
+            "memos": memo_totals,
             "admission": admission_totals,
             "wal": wal_totals,
             "workers": per_worker,

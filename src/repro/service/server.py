@@ -29,10 +29,10 @@ The server is a ``ThreadingHTTPServer``: requests are handled concurrently
 and meet at the thread-safe result store (a single :class:`~repro.service.
 store.ResultStore` or a :class:`~repro.service.store.ShardedResultStore`
 whose shards each carry their own lock).  Solver fan-out inside a batch goes
-through the shared :class:`~repro.explore.executor.SweepExecutor` (use a
-persistent pool via ``repro serve --jobs N``); async batches drain through a
-:class:`~repro.service.jobs.JobQueue` worker pool (``repro serve
---workers N``).
+through a serial :class:`~repro.explore.executor.SweepExecutor` (process
+fan-out belongs to the worker pool, ``repro serve --worker-processes N``);
+async batches drain through a :class:`~repro.service.jobs.JobQueue` worker
+pool (``repro serve --workers N``).
 
 Durability & backpressure (PR 8): with ``wal`` set the service journals
 every async submission to a :class:`~repro.service.wal.JobWal` before the
@@ -70,6 +70,7 @@ from ..fleet import (
 )
 from .canonical import fleet_fingerprint
 from ..obs.metrics import MetricsRegistry
+from ..obs.memo import memo_stats
 from ..obs.trace import TraceStore, start_trace, tracing_enabled
 from ..workloads.serialization import SerializationError
 from .batch import (
@@ -582,6 +583,7 @@ class AllocationService:
             "admission": admission,
             "wal": wal_stats,
             "fleet": self.fleet.stats(),
+            "memos": memo_stats(),
         }
         shards = getattr(self.store, "num_shards", None)
         if shards is not None:
@@ -633,9 +635,6 @@ class AllocationService:
         if self.wal is not None:
             self.wal.close()
         self.store.close()
-        close_pool = getattr(self.executor, "close", None)
-        if callable(close_pool):
-            close_pool()
 
 
 # --------------------------------------------------------------------------- #

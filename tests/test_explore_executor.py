@@ -8,7 +8,6 @@ from repro.explore.executor import (
     ExecutorSettings,
     SolveTask,
     SweepExecutor,
-    available_workers,
     run_solve_task,
 )
 from repro.explore.sweep import (
@@ -49,14 +48,12 @@ class TestExecutorBasics:
         assert [len(chunk) for chunk in chunks] == [4, 4, 2]
         assert [item for chunk in chunks for item in chunk] == list(range(10))
 
-    def test_auto_parallel_respects_cpu_count_and_task_floor(self):
-        settings = ExecutorSettings()
-        if available_workers() == 1:
-            assert not settings.should_parallelize(100)
-        assert not ExecutorSettings(min_tasks_for_pool=50).should_parallelize(10) or (
-            available_workers() > 1
-        )
-        assert not ExecutorSettings(parallel=False).should_parallelize(1000)
+    def test_serial_unless_the_caller_asks(self, monkeypatch):
+        monkeypatch.setattr("repro.explore.executor.available_workers", lambda: 4)
+        assert not ExecutorSettings().should_parallelize()
+        assert not ExecutorSettings(parallel=False).should_parallelize()
+        assert ExecutorSettings(parallel=True).should_parallelize()
+        assert not ExecutorSettings(parallel=True, max_workers=1).should_parallelize()
 
     def test_executor_settings_workers(self):
         assert ExecutorSettings(max_workers=3).resolved_workers() == 3
@@ -132,37 +129,3 @@ class TestConstraintRange:
 
     def test_stop_below_start_gives_empty_grid(self):
         assert default_constraint_range(90.0, 40.0, 5.0) == []
-
-
-class TestPersistentPool:
-    def test_persistent_executor_reuses_one_pool_across_maps(self):
-        executor = SweepExecutor(
-            ExecutorSettings(parallel=True, max_workers=2, chunk_size=2), persistent=True
-        )
-        with executor:
-            first = executor.map(_square, list(range(6)))
-            pool = executor._pool
-            second = executor.map(_square, list(range(6, 12)))
-            assert executor._pool is pool  # same resident pool, no restart
-        assert executor._pool is None  # context exit released the workers
-        assert first == [v * v for v in range(6)]
-        assert second == [v * v for v in range(6, 12)]
-
-    def test_persistent_executor_matches_serial_results(self):
-        tasks = list(range(9))
-        serial = SweepExecutor(ExecutorSettings(parallel=False)).map(_square, tasks)
-        with SweepExecutor(
-            ExecutorSettings(parallel=True, max_workers=2), persistent=True
-        ) as executor:
-            assert executor.map(_square, tasks) == serial
-
-    def test_close_without_pool_is_a_no_op(self):
-        executor = SweepExecutor(persistent=True)
-        executor.close()
-        executor.close()
-
-    def test_persistent_unpicklable_falls_back_to_serial(self):
-        with SweepExecutor(
-            ExecutorSettings(parallel=True, max_workers=2), persistent=True
-        ) as executor:
-            assert executor.map(lambda v: v + 1, [1, 2, 3]) == [2, 3, 4]

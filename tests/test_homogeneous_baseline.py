@@ -16,8 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.minlp.binpacking import shared_packing_memos_clear
-from repro.minlp.branch_and_bound import shared_relaxation_caches_clear
+from repro.obs.memo import clear_all
 
 
 @pytest.fixture(autouse=True)
@@ -32,8 +31,7 @@ def _pin_scipy_backend(monkeypatch):
 def _cold_shared_caches():
     """Drop solver caches warmed by earlier tests (possibly through another
     LP backend) so the replay starts from the recorder's cold state."""
-    shared_relaxation_caches_clear()
-    shared_packing_memos_clear()
+    clear_all()
 
 from repro.core.exact import ExactSettings
 from repro.core.solvers import solve

@@ -19,6 +19,7 @@ from repro.minlp.branch_and_bound import (
     shared_relaxation_cache,
     shared_relaxation_caches_clear,
 )
+from repro.obs.memo import clear_all
 from repro.reporting.experiments import case_study
 
 
@@ -158,8 +159,7 @@ class TestDiscretizationMemo:
         discretization_cache_clear()
 
     def test_node_relaxation_cache_is_shared_across_runs(self):
-        discretization_cache_clear()
-        shared_relaxation_caches_clear()
+        clear_all()
         problem = case_study("vgg-16", resource_limit_percent=70.0)
         gp = solve_gp_step(problem)
         first = discretize_counts(problem, gp.counts_hat, use_cache=False)
@@ -172,8 +172,7 @@ class TestDiscretizationMemo:
         assert second.cache_hits > 0
         assert second.counts == first.counts
         assert second.ii == first.ii
-        shared_relaxation_caches_clear()
-        discretization_cache_clear()
+        clear_all()
 
     def test_shared_cache_registry_keys_by_problem(self):
         shared_relaxation_caches_clear()

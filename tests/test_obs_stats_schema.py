@@ -111,6 +111,17 @@ STATS_SCHEMA = {
     },
 }
 
+#: ``/stats`` ``memos``: one row per process-wide memo, these fields each.
+MEMO_NAMES = (
+    "gp_step",
+    "discretize",
+    "allocation",
+    "relaxation_caches",
+    "packing_memos",
+    "decode",
+)
+MEMO_FIELDS = ("hits", "misses", "entries")
+
 
 class TestStatsSchema:
     def test_sections_present(self, traced_service):
@@ -125,8 +136,22 @@ class TestStatsSchema:
             "admission",
             "wal",
             "fleet",
+            "memos",
         ):
             assert section in stats, f"/stats lost its {section!r} section"
+
+    def test_memos_section_pinned(self, traced_service, tiny_problem_at):
+        client, _ = traced_service
+        client.solve(tiny_problem_at(75.0))
+        memos = client.stats()["memos"]
+        for name in MEMO_NAMES:
+            assert name in memos, f"/stats['memos'] lost memo {name!r}"
+            assert sorted(memos[name]) == sorted(MEMO_FIELDS)
+            for field in MEMO_FIELDS:
+                value = memos[name][field]
+                assert isinstance(value, int) and not isinstance(value, bool)
+        # The cold solve went through the GP step memo.
+        assert memos["gp_step"]["hits"] + memos["gp_step"]["misses"] >= 1
 
     def test_pinned_keys_and_types(self, traced_service, tiny_problem_at):
         client, _ = traced_service

@@ -23,10 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.discretize import discretization_cache_clear
 from repro.core.problem import AllocationProblem
-from repro.minlp.binpacking import shared_packing_memos_clear
-from repro.minlp.branch_and_bound import shared_relaxation_caches_clear
+from repro.obs.memo import clear_all
 from repro.platform.presets import aws_f1
 from repro.platform.resources import ResourceVector
 from repro.service import (
@@ -158,9 +156,7 @@ def _stop(process: subprocess.Popen) -> None:
 
 def _reference_documents() -> dict[int, str]:
     """Comparable outcome document per pool index from an in-process run."""
-    shared_packing_memos_clear()
-    shared_relaxation_caches_clear()
-    discretization_cache_clear()
+    clear_all()
     service = AllocationService(store=ResultStore())
     try:
         outcomes, _ = service.solve_batch([POOL[index] for index in range(len(POOL))])
@@ -436,3 +432,37 @@ class TestPoolWorkerKillNine:
             assert 'worker="router"' in metrics
         finally:
             _stop(server)
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is a live (non-zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process state from /proc")
+class TestRouterKillNine:
+    def test_sigkill_router_leaves_no_orphaned_worker(self, tmp_path):
+        """SIGKILL the router itself: its workers notice the parent's death
+        (a getppid change), drain and exit instead of serving on, orphaned,
+        with their group WALs open."""
+        port = _free_port()
+        server = _serve_pool(port, tmp_path)
+        try:
+            client = _wait_health(port)
+            pids = [row["pid"] for row in client.stats()["pool"]]
+            assert len(pids) == 2 and all(pids)
+            server.kill()
+            server.wait(timeout=30.0)
+            deadline = time.monotonic() + 10.0
+            while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            survivors = [pid for pid in pids if _alive(pid)]
+        finally:
+            _stop(server)
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == [], f"workers {survivors} outlived their router"

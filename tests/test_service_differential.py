@@ -33,11 +33,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.discretize import discretization_cache_clear
 from repro.core.objective import ObjectiveWeights
 from repro.core.problem import AllocationProblem
-from repro.minlp.binpacking import shared_packing_memos_clear
-from repro.minlp.branch_and_bound import shared_relaxation_caches_clear
+from repro.obs.memo import clear_all
 from repro.platform.multi_fpga import DeviceClass, MultiFPGAPlatform
 from repro.platform.presets import XCKU115, XCVU9P, aws_f1
 from repro.platform.resources import ResourceVector
@@ -127,12 +125,6 @@ def _request_pool() -> list[SolveRequest]:
 POOL = _request_pool()
 
 
-def _clear_solver_memos() -> None:
-    shared_packing_memos_clear()
-    shared_relaxation_caches_clear()
-    discretization_cache_clear()
-
-
 def _comparable(document: dict) -> str:
     """Canonical JSON of an outcome document minus the wall clock."""
     trimmed = dict(document)
@@ -158,7 +150,7 @@ def _replay(stream, make_store, mode: str, poll_seed: int = 0):
     completion, then re-reads every finished job in a shuffled
     (out-of-order) sequence and asserts the polls are idempotent.
     """
-    _clear_solver_memos()
+    clear_all()
     service = AllocationService(store=make_store(), job_workers=1)
     documents: list[str] = []
     job_ids: list[str] = []
@@ -301,7 +293,7 @@ def test_multi_worker_pool_preserves_solutions():
         for _ in range(6)
     ]
 
-    _clear_solver_memos()
+    clear_all()
     reference_service = AllocationService(store=ResultStore())
     try:
         reference: dict[int, list[str]] = {}
@@ -313,7 +305,7 @@ def test_multi_worker_pool_preserves_solutions():
     finally:
         reference_service.close()
 
-    _clear_solver_memos()
+    clear_all()
     service = AllocationService(store=ShardedResultStore(num_shards=4), job_workers=4)
     try:
         submissions = [
@@ -385,7 +377,7 @@ def test_multi_process_pool_is_configuration_invariant(tmp_path):
     requests = [POOL[index] for index in stream]
 
     # 1-proc sync reference (in-process, cold memos).
-    _clear_solver_memos()
+    clear_all()
     service = AllocationService(store=ResultStore(), job_workers=1)
     try:
         outcomes, _ = service.solve_batch(requests)

@@ -14,15 +14,14 @@ the ring actually moved.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
 
 import pytest
 
-from repro.core.discretize import discretization_cache_clear
 from repro.core.problem import AllocationProblem
-from repro.minlp.binpacking import shared_packing_memos_clear
-from repro.minlp.branch_and_bound import shared_relaxation_caches_clear
+from repro.obs.memo import clear_all
 from repro.obs.metrics import validate_prometheus_text
 from repro.platform.presets import aws_f1
 from repro.platform.resources import ResourceVector
@@ -38,7 +37,7 @@ from repro.service import (
     decode_records,
     ring,
 )
-from repro.service.pool import group_dir
+from repro.service.pool import build_worker_service, group_dir
 from repro.service.router import (
     RouterService,
     inject_label,
@@ -88,15 +87,9 @@ def _comparable(document: dict) -> str:
     return json.dumps(trimmed, sort_keys=True)
 
 
-def _clear_solver_memos() -> None:
-    shared_packing_memos_clear()
-    shared_relaxation_caches_clear()
-    discretization_cache_clear()
-
-
 def _reference_documents() -> list[str]:
     """Comparable outcomes of the request pool from a single-process run."""
-    _clear_solver_memos()
+    clear_all()
     service = AllocationService(store=ResultStore())
     try:
         outcomes, _ = service.solve_batch(POOL_REQUESTS)
@@ -146,6 +139,31 @@ def topology(tmp_path_factory):
         yield pool, router, client
     finally:
         _stop_topology(router, server, thread)
+
+
+def _cold_batch_in_worker_service(data_dir: str) -> None:
+    """Body of the daemon process below: a 6-unique cold batch."""
+    service = build_worker_service(WorkerSpec(group=0, data_dir=data_dir))
+    try:
+        _, report = service.solve_batch(POOL_REQUESTS[:6])
+    finally:
+        service.close()
+    assert report.solves == 6
+
+
+class TestWorkerProcessParallelism:
+    def test_cold_batch_in_daemon_worker_on_multi_cpu_host(self, tmp_path, monkeypatch):
+        """Pool workers are daemon processes, which may not have children.
+        A worker's service must solve a cold batch in-process however many
+        CPUs the host reports (the forked child inherits the patch)."""
+        monkeypatch.setattr("repro.explore.executor.available_workers", lambda: 4)
+        clear_all()
+        process = multiprocessing.get_context("fork").Process(
+            target=_cold_batch_in_worker_service, args=(str(tmp_path),), daemon=True
+        )
+        process.start()
+        process.join(timeout=120.0)
+        assert process.exitcode == 0
 
 
 class TestRoutingEquivalence:
@@ -211,6 +229,14 @@ class TestRoutingEquivalence:
         )
         assert stats["service"]["solves"] == per_worker_solves
         assert stats["wal"]["fsyncs"] >= 1
+        # Memo counters sum the same way; the router adds its routing memo.
+        per_worker_gp_misses = sum(
+            row["memos"]["gp_step"]["misses"] for row in stats["workers"].values()
+        )
+        assert stats["memos"]["gp_step"]["misses"] == per_worker_gp_misses
+        routing = stats["memos"]["router_fingerprint"]
+        assert routing["hits"] == stats["router"]["fingerprint_memo_hits"]
+        assert routing["misses"] == stats["router"]["fingerprint_memo_misses"]
 
     def test_metrics_merged_with_worker_labels(self, topology):
         _, _, client = topology

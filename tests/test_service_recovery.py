@@ -27,10 +27,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.discretize import discretization_cache_clear
 from repro.core.problem import AllocationProblem
-from repro.minlp.binpacking import shared_packing_memos_clear
-from repro.minlp.branch_and_bound import shared_relaxation_caches_clear
+from repro.obs.memo import clear_all
 from repro.platform.presets import aws_f1
 from repro.service import (
     AllocationService,
@@ -86,12 +84,6 @@ BATCHES = [
 ]
 
 
-def _clear_solver_memos() -> None:
-    shared_packing_memos_clear()
-    shared_relaxation_caches_clear()
-    discretization_cache_clear()
-
-
 def _comparable(document: dict) -> str:
     trimmed = dict(document)
     trimmed.pop("runtime_seconds", None)
@@ -109,7 +101,7 @@ class TestCrashRecoveryDifferential:
         requests = [[POOL[index] for index in batch] for batch in BATCHES]
 
         # Reference: an uninterrupted service answers every batch.
-        _clear_solver_memos()
+        clear_all()
         reference = AllocationService(store=ResultStore(), job_workers=1)
         reference_documents: list[list[str]] = []
         reference_reports: list[str] = []
@@ -126,7 +118,7 @@ class TestCrashRecoveryDifferential:
             reference.close()
 
         # Crashed run: every batch acked + journaled, none executed.
-        _clear_solver_memos()
+        clear_all()
         wal_dir = tmp_path / "wal"
         crashed = AllocationService(
             store=ResultStore(), wal=wal_dir, start_job_workers=False
