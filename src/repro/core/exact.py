@@ -177,7 +177,6 @@ def solve_exact_min_ii(
         if not candidates:
             candidates = [lower_bound]
 
-    packer = _packer_for(problem, settings)
     packs = 0
     search_nodes = 0
     completion_nodes = 0
@@ -261,6 +260,9 @@ def solve_exact_min_ii(
     feasible_index: int | None = None
     feasible_packing = None
     with span("pack_search"):
+        # Built inside the span: packer setup is packing cost, and outside
+        # any span it left a gap in the solve's phase coverage.
+        packer = _packer_for(problem, settings)
         low, high = 0, len(candidates) - 1
         # Check the largest candidate first: if even that fails, it is
         # infeasible.

@@ -232,11 +232,17 @@ class VectorizedMinMaxProblem:
         tolerance: float = 1e-9,
     ) -> bool:
         """Whether the cheapest counts for ``ii`` satisfy all capacities."""
-        counts = self.counts_for_ii(ii, min_counts, max_counts)
+        if ii <= 0:
+            raise ValueError("II must be positive")
+        # Inlined counts_for_ii with ndarray reductions: this runs once per
+        # bisection step, where the np.any/np.all wrappers cost more than
+        # the arithmetic.
+        counts = np.maximum(min_counts, self.wcet / ii)
         if max_counts is not None:
-            if np.any(self.wcet / counts > ii * (1 + 1e-12) + tolerance):
+            np.minimum(counts, max_counts, out=counts)
+            if (self.wcet / counts > ii * (1 + 1e-12) + tolerance).any():
                 return False
-        return bool(np.all(self.weights @ counts <= self.capacity + tolerance))
+        return bool((self.weights @ counts <= self.capacity + tolerance).all())
 
     def lower_bound(self) -> float:
         """A valid lower bound on the optimal II (work-conservation bound)."""
@@ -336,11 +342,10 @@ class VectorizedMinMaxProblem:
         """
         if min_counts is None:
             min_counts = np.ones_like(self.wcet)
-        if np.any(min_counts <= 0):
+        if (min_counts <= 0).any():
             raise ValueError("minimum CU counts must be positive")
         capacity_slack = self.capacity + tolerance
-        base_usage = self.weights @ min_counts
-        if np.any(base_usage > capacity_slack):
+        if (self.weights @ min_counts > capacity_slack).any():
             raise InfeasibleError(
                 "minimum CU counts already exceed the platform capacity; "
                 "the relaxed allocation problem is infeasible"
@@ -348,44 +353,52 @@ class VectorizedMinMaxProblem:
         # Mirror the bisection's numerical floor (low = 1e-12): never report
         # an II below it even when the problem is effectively unconstrained.
         t_limit = 1e12
-        if max_counts is not None:
-            finite = np.isfinite(max_counts)
-            if np.any(finite):
-                t_limit = min(t_limit, float(np.min(max_counts[finite] / self.wcet[finite])))
-        t_starts = min_counts / self.wcet
-        kinks = [t_starts]
+        ts = min_counts / self.wcet
         if max_counts is not None:
             ends = max_counts / self.wcet
-            kinks.append(ends[np.isfinite(ends)])
-        ts = np.unique(np.concatenate(kinks))
+            finite_ends = ends[np.isfinite(max_counts)]
+            if finite_ends.size:
+                t_limit = min(t_limit, float(finite_ends.min()))
+            # Infinite ends fall to the ``ts <= t_limit`` cut below.
+            ts = np.concatenate((ts, ends))
+        # Repeated kinks need no dedupe: equal ``t`` rows have equal usage,
+        # so the first crossing row never follows a copy of itself.
+        ts.sort()
         ts = ts[ts <= t_limit]
         if ts.size == 0 or ts[-1] < t_limit:
             ts = np.append(ts, t_limit)
-        counts_at = np.outer(ts, self.wcet)
+        counts_at = ts[:, np.newaxis] * self.wcet
         np.maximum(counts_at, min_counts, out=counts_at)
         if max_counts is not None:
             np.minimum(counts_at, max_counts, out=counts_at)
         usage_at = counts_at @ self.weights.T  # (T, D)
+        # First kink past capacity, per dimension: argmax finds the first
+        # True of each column, and reading it back tells crossing columns
+        # from columns that never cross.
+        exceeding = usage_at > capacity_slack
+        first = exceeding.argmax(axis=0)
+        dimensions = np.arange(first.size)
+        crossed = exceeding[first, dimensions]
         t_best = t_limit
-        for dimension in range(self.capacity.size):
-            column = usage_at[:, dimension]
-            exceeding = np.nonzero(column > capacity_slack[dimension])[0]
-            if exceeding.size == 0:
-                continue
-            first = int(exceeding[0])
-            if first == 0:
-                # Usage already above capacity at the smallest kink; the
-                # curve is constant (= base usage <= capacity) below it, so
-                # the crossing sits exactly at that kink.
+        if crossed.any():
+            # Usage already above capacity at the smallest kink: the curve
+            # is constant (= base usage <= capacity) below it, so the
+            # crossing sits exactly at that kink.
+            if (crossed & (first == 0)).any():
                 t_best = min(t_best, float(ts[0]))
-                continue
-            run = column[first] - column[first - 1]
-            rise = capacity_slack[dimension] - column[first - 1]
-            t_cross = ts[first - 1] + (ts[first] - ts[first - 1]) * rise / run
-            t_best = min(t_best, float(t_cross))
+            inner = crossed & (first > 0)
+            if inner.any():
+                after = first[inner]
+                before = after - 1
+                columns = dimensions[inner]
+                below = usage_at[before, columns]
+                run = usage_at[after, columns] - below
+                rise = capacity_slack[columns] - below
+                t_cross = ts[before] + (ts[after] - ts[before]) * rise / run
+                t_best = min(t_best, float(t_cross.min()))
         ii = 1.0 / t_best
         counts = self.counts_for_ii(ii, min_counts, max_counts)
-        return float(np.max(self.wcet / counts)), counts
+        return float((self.wcet / counts).max()), counts
 
     def solve_dict(
         self,

@@ -22,6 +22,7 @@ from .metrics import (
     Counter,
     Gauge,
     Histogram,
+    MemoMetrics,
     MetricsRegistry,
     log_buckets,
     validate_prometheus_text,
@@ -45,6 +46,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "MemoMetrics",
     "MetricsRegistry",
     "log_buckets",
     "validate_prometheus_text",

@@ -133,6 +133,12 @@ class _CounterChild:
         with self._lock:
             self._value += amount
 
+    def mirror(self, total: float) -> None:
+        """Take the value of a monotone count kept elsewhere (sampled at
+        scrape time); a reset of that count reads as a counter reset."""
+        with self._lock:
+            self._value = float(total)
+
     @property
     def value(self) -> float:
         with self._lock:
@@ -334,6 +340,37 @@ class MetricsRegistry:
         for family in self.families():
             lines.extend(family.render())
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+class MemoMetrics:
+    """Memo efficiency series of one exposition, sampled at scrape time.
+
+    ``sample`` takes :func:`repro.obs.memo.memo_stats` rows (``{memo:
+    {"hits", "misses", "entries"}}``) -- one process's, or a sum over
+    processes -- and mirrors them into ``repro_memo_hits_total``,
+    ``repro_memo_misses_total`` and ``repro_memo_entries``, labelled by
+    memo name.
+    """
+
+    FAMILIES = ("repro_memo_hits_total", "repro_memo_misses_total", "repro_memo_entries")
+
+    def __init__(self, registry: "MetricsRegistry"):
+        self._hits = registry.counter(
+            "repro_memo_hits_total", "Memo lookups answered from the memo.",
+            label_names=("memo",),
+        )
+        self._misses = registry.counter(
+            "repro_memo_misses_total", "Memo lookups that missed.", label_names=("memo",)
+        )
+        self._entries = registry.gauge(
+            "repro_memo_entries", "Entries held by a memo.", label_names=("memo",)
+        )
+
+    def sample(self, stats: Mapping[str, Mapping[str, float]]) -> None:
+        for memo, row in stats.items():
+            self._hits.labels(memo=memo).mirror(row["hits"])
+            self._misses.labels(memo=memo).mirror(row["misses"])
+            self._entries.labels(memo=memo).set(row["entries"])
 
 
 _SAMPLE_RE = re.compile(

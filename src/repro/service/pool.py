@@ -21,6 +21,10 @@ fingerprints onto groups with the consistent hash ring of
   draining it (``kill -9`` of the router) notices its ``getppid()`` change
   and takes the same drain path, so no orphan keeps serving or holding its
   group's WAL open;
+* **one writer per group** -- before it opens its WAL a worker takes an
+  exclusive ``flock`` on ``group-NN/group.lock``; a second process started
+  on the same directory (say a restarted router while an orphan still
+  drains) exits at once with a clear error instead of sharing the journal;
 * **crash recovery** -- a worker that dies (``kill -9``, OOM, a bug) is
   restarted automatically *on the same group directory*, so its
   ``AllocationService`` replays the WAL and every acknowledged job the
@@ -34,6 +38,7 @@ Directory layout (one tree per group, nothing shared between processes)::
 
     <data_dir>/
       group-00/
+        group.lock               <- flock held by group 0's live worker
         cache/results.sqlite     <- group 0's disk tier
         wal/wal-*.log            <- group 0's job journal
       group-01/
@@ -46,6 +51,7 @@ coordination, and killing one group never corrupts another.
 
 from __future__ import annotations
 
+import fcntl
 import multiprocessing
 import os
 import signal
@@ -64,10 +70,48 @@ PARENT_POLL_SECONDS = 0.5
 #: Name of one group's directory inside the pool data dir.
 GROUP_DIR_PATTERN = "group-{group:02d}"
 
+#: Lock file inside a group directory, held by the group's live worker.
+GROUP_LOCK_NAME = "group.lock"
+
 
 def group_dir(data_dir: str | Path, group: int) -> Path:
     """The directory owned by shard group ``group``."""
     return Path(data_dir) / GROUP_DIR_PATTERN.format(group=group)
+
+
+class GroupLockedError(RuntimeError):
+    """Another live process already writes this group directory."""
+
+
+def lock_group_dir(directory: str | Path) -> int:
+    """Take the exclusive writer lock of one group directory; returns its fd.
+
+    The lock is a non-blocking ``flock`` on ``<directory>/group.lock``,
+    held for as long as the descriptor stays open.  The kernel drops it
+    when the holder exits, however it dies, so a crashed worker never
+    blocks its replacement.  The holder writes its pid into the file so
+    the refusal can name it.
+
+    Raises
+    ------
+    GroupLockedError
+        If another process holds the lock.
+    """
+    path = Path(directory)
+    path.mkdir(parents=True, exist_ok=True)
+    fd = os.open(path / GROUP_LOCK_NAME, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        holder = os.pread(fd, 32, 0).decode("ascii", "replace").strip() or "unknown"
+        os.close(fd)
+        raise GroupLockedError(
+            f"group directory {path} is locked by pid {holder}; "
+            "refusing to open its WAL as a second writer"
+        ) from None
+    os.ftruncate(fd, 0)
+    os.pwrite(fd, f"{os.getpid()}\n".encode("ascii"), 0)
+    return fd
 
 
 @dataclass(frozen=True)
@@ -144,14 +188,23 @@ def _watch_parent(server: Any) -> None:
 def worker_main(spec: WorkerSpec, conn: Any) -> None:
     """Entry point of one shard-group worker process.
 
-    Builds the group's service (replaying its WAL), binds an ephemeral
-    port, reports ``("ready", port)`` through ``conn``, then serves until
-    SIGTERM/SIGINT or the death of its supervisor.  The drain path is the
-    graceful one: stop accepting, finish queued jobs, final-fsync and close
-    the WAL, exit 0.
+    Locks the group directory, builds the group's service (replaying its
+    WAL), binds an ephemeral port, reports ``("ready", port)`` through
+    ``conn``, then serves until SIGTERM/SIGINT or the death of its
+    supervisor.  The drain path is the graceful one: stop accepting, finish
+    queued jobs, final-fsync and close the WAL, exit 0.  A worker that
+    finds its directory locked reports the error and exits 1 at once.
     """
     from .server import AllocationHTTPServer, install_shutdown_signals
 
+    try:
+        lock_group_dir(spec.data_dir)  # released when this process exits
+    except GroupLockedError as error:
+        try:
+            conn.send(("error", f"{type(error).__name__}: {error}"))
+        finally:
+            conn.close()
+        raise SystemExit(f"repro worker {spec.group}: {error}") from None
     try:
         service = build_worker_service(spec)
         server = AllocationHTTPServer((spec.host, 0), service, quiet=spec.quiet)

@@ -52,7 +52,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .. import __version__
 from ..obs.memo import BoundedMemo
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MemoMetrics, MetricsRegistry
 from ..workloads.serialization import SerializationError
 from .batch import request_from_dict
 from .hashing import DEFAULT_REPLICAS, HashRing, ring
@@ -159,6 +159,34 @@ def merge_prometheus(expositions: "Iterable[tuple[str, str]]") -> str:
             lines.append(entry["type"])
         lines.extend(entry["samples"])
     return "\n".join(lines) + "\n" if lines else ""
+
+
+#: Memo family -> its field in a ``memo_stats()`` row.
+_MEMO_FIELDS = dict(zip(MemoMetrics.FAMILIES, ("hits", "misses", "entries")))
+
+
+def take_memo_samples(text: str, totals: dict[str, dict[str, float]]) -> str:
+    """Move a worker exposition's memo samples into ``totals``.
+
+    Adds each ``repro_memo_*{memo="..."}`` sample to
+    ``totals[memo][field]`` and returns the exposition without the memo
+    families, so the router can state each memo once, summed over its
+    workers.
+    """
+    kept: list[str] = []
+    for line in text.splitlines():
+        if line.startswith("# HELP ") or line.startswith("# TYPE "):
+            if line.split(" ", 3)[2] in _MEMO_FIELDS:
+                continue
+        elif not line.startswith("#"):
+            field = _MEMO_FIELDS.get(line.split("{", 1)[0])
+            if field is not None:
+                memo = line.split('memo="', 1)[1].split('"', 1)[0]
+                row = totals.setdefault(memo, {"hits": 0, "misses": 0, "entries": 0})
+                row[field] += float(line.rsplit(" ", 1)[1])
+                continue
+        kept.append(line)
+    return "\n".join(kept) + "\n"
 
 
 # --------------------------------------------------------------------------- #
@@ -292,6 +320,7 @@ class RouterService:
         self._healthy_gauge = self.metrics.gauge(
             "repro_router_healthy_groups", "Shard groups with a live worker."
         )
+        self._memo_metrics = MemoMetrics(self.metrics)
 
     # ------------------------------------------------------------------ #
     # Ring / routing
@@ -904,13 +933,17 @@ class RouterService:
         self._groups_gauge.set(len(status_rows))
         self._healthy_gauge.set(sum(1 for row in status_rows if row["healthy"]))
         expositions: list[tuple[str, str]] = []
+        memo_totals: dict[str, dict[str, float]] = {"router_fingerprint": self._memo.stats()}
         for group in self.pool.groups():
             try:
                 status, _, data = self._proxy(group, "GET", "/metrics")
             except WorkerUnavailableError:
                 continue
             if status == 200:
-                expositions.append((f"g{group}", data.decode("utf-8")))
+                text = take_memo_samples(data.decode("utf-8"), memo_totals)
+                expositions.append((f"g{group}", text))
+        # The memo series appear once, summed, as /stats sums them.
+        self._memo_metrics.sample(memo_totals)
         expositions.append(("router", self.metrics.render_prometheus()))
         return merge_prometheus(expositions)
 

@@ -69,7 +69,7 @@ from ..fleet import (
     tenant_from_dict,
 )
 from .canonical import fleet_fingerprint
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MemoMetrics, MetricsRegistry
 from ..obs.memo import memo_stats
 from ..obs.trace import TraceStore, start_trace, tracing_enabled
 from ..workloads.serialization import SerializationError
@@ -295,6 +295,7 @@ class AllocationService:
         self._wal_live_jobs_gauge = metrics.gauge(
             "repro_wal_live_jobs", "Journaled jobs not yet marked complete."
         )
+        self._memo_metrics = MemoMetrics(metrics)
         # Recovery runs last: the replayed jobs drain through solve_batch,
         # which touches the instruments built above.
         self.recovered_jobs = 0
@@ -628,6 +629,7 @@ class AllocationService:
             self._wal_replays_gauge.set(wal_stats["replays"])
             self._wal_compactions_gauge.set(wal_stats["compactions"])
             self._wal_live_jobs_gauge.set(wal_stats["live_jobs"])
+        self._memo_metrics.sample(memo_stats())
         return self.metrics.render_prometheus()
 
     def close(self) -> None:

@@ -244,6 +244,27 @@ class TestMetricsEndpoint:
         assert "repro_uptime_seconds" in text
         assert "repro_job_queue_depth 0" in text
 
+    def test_memo_series_pinned(self, traced_service, tiny_problem_at):
+        """Every /stats memo row is exported as hits/misses counters and an
+        entries gauge labelled by memo, with the same values."""
+        client, _ = traced_service
+        client.solve(tiny_problem_at(75.0))
+        text = client.metrics()
+        assert validate_prometheus_text(text) == []
+        assert "# TYPE repro_memo_hits_total counter" in text
+        assert "# TYPE repro_memo_misses_total counter" in text
+        assert "# TYPE repro_memo_entries gauge" in text
+        memos = client.stats()["memos"]
+        for name in MEMO_NAMES:
+            for family, field in (
+                ("repro_memo_hits_total", "hits"),
+                ("repro_memo_misses_total", "misses"),
+                ("repro_memo_entries", "entries"),
+            ):
+                # /stats is read after the scrape; no solve ran in between.
+                assert f'{family}{{memo="{name}"}} {memos[name][field]}\n' in text
+        assert memos["gp_step"]["misses"] >= 1
+
     def test_http_request_counter(self, traced_service):
         client, _ = traced_service
         client.health()

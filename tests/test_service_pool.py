@@ -37,7 +37,7 @@ from repro.service import (
     decode_records,
     ring,
 )
-from repro.service.pool import build_worker_service, group_dir
+from repro.service.pool import GROUP_LOCK_NAME, build_worker_service, group_dir
 from repro.service.router import (
     RouterService,
     inject_label,
@@ -248,6 +248,24 @@ class TestRoutingEquivalence:
         # HELP/TYPE stated once per family even though every worker emits it.
         assert text.count("# TYPE repro_http_requests_total") == 1
 
+    def test_memo_series_summed_over_workers(self, topology):
+        """The router states each memo series once, summed over its
+        workers plus its routing memo -- the same totals /stats reports."""
+        _, _, client = topology
+        client.solve_batch(POOL_REQUESTS)
+        text = client.metrics()
+        assert validate_prometheus_text(text) == []
+        memos = client.stats()["memos"]
+        assert 'repro_memo_hits_total{worker="g' not in text
+        for name in ("gp_step", "discretize", "router_fingerprint"):
+            for family, field in (
+                ("repro_memo_misses_total", "misses"),
+                ("repro_memo_entries", "entries"),
+            ):
+                sample = f'{family}{{worker="router",memo="{name}"}} {memos[name][field]}\n'
+                assert sample in text
+        assert memos["gp_step"]["misses"] >= 1
+
     def test_unknown_job_is_a_clean_404(self, topology):
         _, _, client = topology
         with pytest.raises(ServiceError) as excinfo:
@@ -434,6 +452,34 @@ class TestGracefulShutdown:
                 assert (root / "wal").is_dir()
         finally:
             _stop_topology(router, server, thread)
+
+
+class TestGroupDirectoryLock:
+    def test_second_writer_on_one_data_dir_exits_at_once(self, tmp_path):
+        """Two pools on one data dir: the second pool's worker finds
+        ``group-00`` locked by the first pool's live worker and exits with
+        a clear error instead of opening the same WAL."""
+        spec = WorkerSpec(group=0, data_dir=str(tmp_path))
+        first = WorkerPool(1, str(tmp_path), spec=spec).start()
+        try:
+            holder = first.pid_of(0)
+            lock_file = group_dir(str(tmp_path), 0) / GROUP_LOCK_NAME
+            assert lock_file.read_text().strip() == str(holder)
+            second = WorkerPool(1, str(tmp_path), spec=spec, auto_restart=False)
+            with pytest.raises(RuntimeError, match=f"locked by pid {holder}"):
+                second.start()
+            second.close()
+            # The refused writer left the first one serving.
+            assert first.worker_status()[0]["healthy"]
+            assert _client(first.worker_status()[0]["port"]).health()["status"] == "ok"
+        finally:
+            first.close()
+        # The lock died with its holder: the directory is free again.
+        third = WorkerPool(1, str(tmp_path), spec=spec).start()
+        try:
+            assert lock_file.read_text().strip() == str(third.pid_of(0))
+        finally:
+            third.close()
 
 
 # --------------------------------------------------------------------------- #
