@@ -57,6 +57,22 @@ def canonical_value(value: Any) -> Any:
     folded onto ``0.0``, and containers are normalised recursively.  Mapping
     key order is irrelevant because :func:`canonical_json` sorts keys.
     """
+    # Exact-type fast path for the JSON-native types canonical documents
+    # are built from; subclasses and tuples take the generic branch below.
+    kind = type(value)
+    if kind is float:
+        return 0.0 if value == 0.0 else value
+    if kind is str or kind is bool or value is None:
+        return value
+    if kind is dict:
+        return {
+            key if type(key) is str else str(key): canonical_value(item)
+            for key, item in value.items()
+        }
+    if kind is list:
+        return [canonical_value(item) for item in value]
+    if kind is int:
+        return float(value)
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, (int, float)):

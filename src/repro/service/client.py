@@ -20,6 +20,12 @@ re-sent after an ambiguous failure dedupes onto the cached outcome instead
 of redoing work.  Everything non-transient (4xx validation errors, 500s)
 still surfaces immediately.  Per-client retry counters live in
 :attr:`ServiceClient.retry_stats`.
+
+Below the retry policy, calls reuse pooled keep-alive connections
+(:class:`ConnectionPool`, shared with the router's worker hop).  A pooled
+connection the server dropped while it was idle is replaced by a fresh one
+once, inside the same attempt; a server that cannot be reached at all
+counts as a connection error.
 """
 
 from __future__ import annotations
@@ -27,11 +33,11 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
+from urllib.parse import urlsplit
 
 from ..core.exact import ExactSettings
 from ..core.heuristic import HeuristicSettings
@@ -40,6 +46,7 @@ from ..core.solution import SolveOutcome
 from .batch import SolveRequest, request_to_dict
 
 __all__ = [
+    "ConnectionPool",
     "RetryPolicy",
     "ServiceClient",
     "ServiceError",
@@ -70,10 +77,12 @@ class ServiceError(RuntimeError):
 RETRYABLE_STATUSES = (429, 503)
 
 #: Failures that mean "the server is unreachable or died mid-request" -- all
-#: retryable.  ``urlopen`` wraps connect-time failures in ``URLError``, but a
-#: server killed while streaming its response surfaces raw
-#: ``http.client.RemoteDisconnected`` / ``ConnectionResetError`` instead.
-CONNECTION_ERRORS = (urllib.error.URLError, http.client.HTTPException, ConnectionError)
+#: retryable.  A timeout is not among them: it propagates unretried.
+CONNECTION_ERRORS = (http.client.HTTPException, OSError)
+
+#: How a reused keep-alive connection fails when the server closed it while
+#: it sat idle (``RemoteDisconnected`` is a ``ConnectionResetError``).
+_STALE_CONNECTION = (BrokenPipeError, ConnectionResetError)
 
 
 @dataclass(frozen=True)
@@ -130,8 +139,85 @@ def _parse_retry_after(headers: Any) -> float | None:
         return None
 
 
+def _error_message(response: http.client.HTTPResponse, data: bytes) -> str:
+    """The ``error`` field of an error document, else the status line."""
+    try:
+        return str(json.loads(data.decode("utf-8"))["error"])
+    except (ValueError, KeyError, TypeError):
+        return f"HTTP Error {response.status}: {response.reason}"
+
+
+class ConnectionPool:
+    """Keep-alive HTTP/1.1 connections, pooled per ``host:port``.
+
+    Idle connections wait under a lock until a thread checks one out, so
+    any number of threads may share one pool; a connection carries one
+    request at a time.  ``http.client`` sets ``TCP_NODELAY`` and sends a
+    request's headers and body in one write, so a reused connection meets
+    no Nagle / delayed-ACK stall.
+
+    A reused connection may have been closed by the server while it sat
+    idle (a restart or a drain).  If it fails before any response byte
+    arrives, the request is sent once more on a fresh socket.  Every other
+    failure -- a fresh connection that cannot connect, a reset mid-answer,
+    a timeout -- is raised to the caller.
+    """
+
+    def __init__(self, timeout_seconds: float):
+        self.timeout_seconds = timeout_seconds
+        self._idle: dict[str, list[http.client.HTTPConnection]] = {}
+        self._lock = threading.Lock()
+
+    def request(
+        self, netloc: str, method: str, path: str, body: bytes | None = None
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """One round trip to ``netloc``; returns the response and its body."""
+        headers = {"Content-Type": "application/json"} if body else {}
+
+        def exchange(connection: http.client.HTTPConnection) -> http.client.HTTPResponse:
+            connection.request(method, path, body=body, headers=headers)
+            return connection.getresponse()
+
+        with self._lock:
+            idle = self._idle.get(netloc)
+            connection = idle.pop() if idle else None
+        try:
+            if connection is not None:
+                try:
+                    response = exchange(connection)
+                except _STALE_CONNECTION:
+                    connection.close()
+                    connection = None
+            if connection is None:
+                connection = http.client.HTTPConnection(netloc, timeout=self.timeout_seconds)
+                response = exchange(connection)
+            data = response.read()
+        except BaseException:
+            if connection is not None:
+                connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._lock:
+                self._idle.setdefault(netloc, []).append(connection)
+        return response, data
+
+    def close(self) -> None:
+        """Close every idle connection (the pool stays usable)."""
+        with self._lock:
+            idle = [conn for conns in self._idle.values() for conn in conns]
+            self._idle.clear()
+        for connection in idle:
+            connection.close()
+
+
 class ServiceClient:
-    """Talk to a running allocation service over HTTP."""
+    """Talk to a running allocation service over HTTP.
+
+    Calls reuse keep-alive connections (:class:`ConnectionPool`);
+    :meth:`close` (or a ``with`` block) releases the idle sockets.
+    """
 
     def __init__(
         self,
@@ -141,10 +227,16 @@ class ServiceClient:
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.base_url = base_url.rstrip("/")
+        parts = urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.netloc:
+            raise ValueError(f"expected an http://host:port URL, got {base_url!r}")
+        self._netloc = parts.netloc
+        self._prefix = parts.path
         self.timeout_seconds = timeout_seconds
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._sleep = sleep
         self._rng = random.Random(self.retry_policy.seed)
+        self._pool = ConnectionPool(timeout_seconds)
         #: Cumulative transport retry counters (read by the load generator).
         self.retry_stats: dict[str, float] = {
             "attempts": 0,
@@ -154,6 +246,16 @@ class ServiceClient:
             "connection_errors": 0,
             "backoff_seconds": 0.0,
         }
+
+    def close(self) -> None:
+        """Close the idle keep-alive connections."""
+        self._pool.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
     # Transport
@@ -172,7 +274,7 @@ class ServiceClient:
                 }.get(failure.reason, "connection_errors")
                 self.retry_stats[key] += 1
                 if attempt >= self.retry_policy.retries:
-                    raise failure.error from failure.error.__cause__
+                    raise failure.error from failure.__cause__
                 delay = self.retry_policy.delay_seconds(
                     attempt, failure.error.retry_after_seconds, self._rng
                 )
@@ -181,75 +283,55 @@ class ServiceClient:
                 self._sleep(delay)
                 attempt += 1
 
+    def _call(
+        self,
+        path: str,
+        payload: Mapping[str, Any] | None = None,
+        method: str | None = None,
+    ) -> bytes:
+        """Body of a successful answer; errors become :class:`ServiceError`."""
+        body = json.dumps(payload).encode("utf-8") if payload is not None else None
+        method = method or ("POST" if body is not None else "GET")
+        url = f"{self.base_url}{path}"
+
+        def attempt_once() -> bytes:
+            try:
+                response, data = self._pool.request(
+                    self._netloc, method, self._prefix + path, body
+                )
+            except TimeoutError:
+                raise  # the server may still be working on it: not retried
+            except CONNECTION_ERRORS as error:
+                raise _Retryable(
+                    ServiceError(f"cannot reach {url}: {error}"), "connection"
+                ) from error
+            if response.status < 400:
+                return data
+            error = ServiceError(
+                f"{path}: {_error_message(response, data)}",
+                status=response.status,
+                retry_after_seconds=_parse_retry_after(response.headers),
+            )
+            if response.status in RETRYABLE_STATUSES:
+                raise _Retryable(error, str(response.status))
+            raise error
+
+        return self._with_retries(attempt_once)
+
     def _request(
         self,
         path: str,
         payload: Mapping[str, Any] | None = None,
         method: str | None = None,
     ) -> dict[str, Any]:
-        url = f"{self.base_url}{path}"
-        data = json.dumps(payload).encode("utf-8") if payload is not None else None
-
-        def attempt_once() -> dict[str, Any]:
-            request = urllib.request.Request(
-                url,
-                data=data,
-                headers={"Content-Type": "application/json"} if data else {},
-                method=method,
-            )
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout_seconds) as response:
-                    document = json.loads(response.read().decode("utf-8"))
-            except urllib.error.HTTPError as error:
-                try:
-                    message = json.loads(error.read().decode("utf-8")).get("error", str(error))
-                except Exception:
-                    message = str(error)
-                service_error = ServiceError(
-                    f"{path}: {message}",
-                    status=error.code,
-                    retry_after_seconds=_parse_retry_after(error.headers),
-                )
-                service_error.__cause__ = error
-                if error.code in RETRYABLE_STATUSES:
-                    raise _Retryable(service_error, str(error.code)) from error
-                raise service_error from error
-            except CONNECTION_ERRORS as error:
-                reason = getattr(error, "reason", error)
-                service_error = ServiceError(f"cannot reach {url}: {reason}")
-                service_error.__cause__ = error
-                raise _Retryable(service_error, "connection") from error
-            if isinstance(document, Mapping) and "error" in document:
-                raise ServiceError(str(document["error"]))
-            return document
-
-        return self._with_retries(attempt_once)
+        document = json.loads(self._call(path, payload, method).decode("utf-8"))
+        if isinstance(document, Mapping) and "error" in document:
+            raise ServiceError(str(document["error"]))
+        return document
 
     def _request_text(self, path: str) -> str:
         """GET a non-JSON endpoint (the Prometheus ``/metrics`` text)."""
-        url = f"{self.base_url}{path}"
-
-        def attempt_once() -> str:
-            try:
-                with urllib.request.urlopen(url, timeout=self.timeout_seconds) as response:
-                    return response.read().decode("utf-8")
-            except urllib.error.HTTPError as error:
-                service_error = ServiceError(
-                    f"{path}: {error}",
-                    status=error.code,
-                    retry_after_seconds=_parse_retry_after(error.headers),
-                )
-                service_error.__cause__ = error
-                if error.code in RETRYABLE_STATUSES:
-                    raise _Retryable(service_error, str(error.code)) from error
-                raise service_error from error
-            except CONNECTION_ERRORS as error:
-                reason = getattr(error, "reason", error)
-                service_error = ServiceError(f"cannot reach {url}: {reason}")
-                service_error.__cause__ = error
-                raise _Retryable(service_error, "connection") from error
-
-        return self._with_retries(attempt_once)
+        return self._call(path).decode("utf-8")
 
     # ------------------------------------------------------------------ #
     # Endpoints

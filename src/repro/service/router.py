@@ -31,23 +31,25 @@ existing client works unchanged.  What it adds:
   cold (the hashing module's minimal-movement guarantee).
 
 Fingerprinting a request requires parsing the problem document, which is
-the expensive part of the submit path; the router memoizes ``raw document
-JSON -> fingerprint`` in a bounded LRU so duplicate-heavy traffic (the
-warm-replay regime this topology exists for) parses each distinct request
-once and routes every repeat with a dictionary hit.
+the expensive part of the submit path; the router memoizes ``request ->
+fingerprint`` in a bounded LRU so duplicate-heavy traffic (the warm-replay
+regime this topology exists for) parses each distinct request once and
+routes every repeat with a dictionary hit.  ``/solve`` keys the memo on the
+raw body bytes, so a repeated body is routed without being decoded; batch
+documents key it on their sorted JSON.
+
+Every router -> worker hop rides a pooled keep-alive connection (the
+:class:`~repro.service.client.ConnectionPool` the client uses too).
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import math
-import sys
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .. import __version__
@@ -55,9 +57,15 @@ from ..obs.memo import BoundedMemo
 from ..obs.metrics import MemoMetrics, MetricsRegistry
 from ..workloads.serialization import SerializationError
 from .batch import request_from_dict
+from .client import ConnectionPool
 from .hashing import DEFAULT_REPLICAS, HashRing, ring
 from .pool import WorkerPool
-from .server import BackpressureError, install_shutdown_signals
+from .server import (
+    BackpressureError,
+    KeepAliveHTTPServer,
+    KeepAliveRequestHandler,
+    parse_json,
+)
 from .store import CacheStats
 
 #: Retry hint handed to clients whose owning worker is down: the pool's
@@ -254,7 +262,7 @@ class RouterService:
         Composite async jobs retained for polling (oldest pruned first;
         the underlying worker jobs are durable regardless).
     fingerprint_memo:
-        Entries in the document->fingerprint routing memo.
+        Entries in the request->fingerprint routing memo.
     proxy_timeout_seconds:
         Per-request timeout on the router->worker hop.
     """
@@ -277,7 +285,7 @@ class RouterService:
         self._ring_lock = threading.Lock()
         self._resize_lock = threading.Lock()
         self._memo: BoundedMemo[str] = BoundedMemo(fingerprint_memo)
-        self._local = threading.local()
+        self._transport = ConnectionPool(proxy_timeout_seconds)
         self._lock = threading.Lock()
         self._requests = 0
         self._batches = 0
@@ -295,6 +303,9 @@ class RouterService:
             "repro_http_requests_total",
             "HTTP requests served, by method and status code.",
             label_names=("method", "status"),
+        )
+        self._http_connections_total = self.metrics.counter(
+            "repro_http_connections_total", "HTTP connections accepted."
         )
         self._admission_rejected_total = self.metrics.counter(
             "repro_admission_rejected_total",
@@ -336,9 +347,16 @@ class RouterService:
     def fingerprint_of(self, document: Mapping[str, Any]) -> str:
         """Canonical fingerprint of a request document, memoized on its JSON."""
         key = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        return self._memoized_fingerprint(key, lambda: document)
+
+    def _memoized_fingerprint(
+        self, key: "str | bytes", document: Callable[[], Any]
+    ) -> str:
+        """The memoized fingerprint under ``key``; ``document()`` builds the
+        request document on a miss."""
         fingerprint = self._memo.get(key)
         if fingerprint is None:
-            fingerprint = request_from_dict(document).fingerprint()
+            fingerprint = request_from_dict(document()).fingerprint()
             self._memo.put(key, fingerprint)
         else:
             self._routing_memo_hits.inc()
@@ -368,58 +386,33 @@ class RouterService:
             return {"num_groups": self.ring.num_groups, "added_groups": added}
 
     # ------------------------------------------------------------------ #
-    # Worker transport (keep-alive, per thread)
+    # Worker transport (pooled keep-alive)
     # ------------------------------------------------------------------ #
-    def _connections(self) -> dict[str, http.client.HTTPConnection]:
-        conns = getattr(self._local, "conns", None)
-        if conns is None:
-            conns = {}
-            self._local.conns = conns
-        return conns
-
     def _proxy(
         self,
         group: int,
         method: str,
         path: str,
         body: bytes | None = None,
-    ) -> tuple[int, dict[str, str], bytes]:
-        """One router->worker HTTP round trip; raises
-        :class:`WorkerUnavailableError` when the group has no live worker.
-
-        A stale keep-alive connection (the worker restarted between our
-        requests) is retried once on a fresh socket before giving up.
-        """
+    ) -> tuple[int, Any, bytes]:
+        """One router->worker HTTP round trip; returns status, headers and
+        body.  Raises :class:`WorkerUnavailableError` when the group has no
+        live worker or its worker cannot be reached."""
         url = self.pool.url_of(group)
         if url is None:
             raise WorkerUnavailableError(group)
-        netloc = url[len("http://") :]
-        conns = self._connections()
-        last_error: Exception | None = None
-        for attempt in range(2):
-            conn = conns.get(netloc)
-            if conn is None:
-                host, _, port = netloc.rpartition(":")
-                conn = http.client.HTTPConnection(
-                    host, int(port), timeout=self.proxy_timeout_seconds
-                )
-                conns[netloc] = conn
-            try:
-                headers = {"Content-Type": "application/json"} if body else {}
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                data = response.read()
-                self._proxied_total.labels(group=str(group)).inc()
-                return response.status, dict(response.getheaders()), data
-            except (http.client.HTTPException, ConnectionError, OSError) as error:
-                last_error = error
-                conn.close()
-                conns.pop(netloc, None)
-        raise WorkerUnavailableError(group) from last_error
+        try:
+            response, data = self._transport.request(
+                url[len("http://") :], method, path, body
+            )
+        except (http.client.HTTPException, OSError) as error:
+            raise WorkerUnavailableError(group) from error
+        self._proxied_total.labels(group=str(group)).inc()
+        return response.status, response.headers, data
 
     def _proxy_json(
         self, group: int, method: str, path: str, payload: Any = None
-    ) -> tuple[int, dict[str, str], Any]:
+    ) -> tuple[int, Any, Any]:
         body = (
             json.dumps(payload, allow_nan=False).encode("utf-8")
             if payload is not None
@@ -463,23 +456,19 @@ class RouterService:
     # ------------------------------------------------------------------ #
     # /solve
     # ------------------------------------------------------------------ #
-    def solve_raw(self, body: bytes) -> tuple[int, dict[str, str], bytes]:
+    def solve_raw(self, body: bytes) -> tuple[int, Any, bytes]:
         """Route one ``/solve`` body to its owner, forwarding the raw bytes.
 
-        The response bytes come back verbatim too, so a client talking to
-        the router receives byte-identical ``/solve`` answers to one
-        talking straight at a worker.
+        The routing memo is keyed on the body bytes, so a repeated body is
+        routed without decoding it.  The response bytes come back verbatim
+        too, so a client talking to the router receives byte-identical
+        ``/solve`` answers to one talking straight at a worker.
         """
-        try:
-            document = json.loads(body.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise SerializationError(f"request body is not valid JSON: {error}") from error
-        fingerprint = self.fingerprint_of(document)
+        fingerprint = self._memoized_fingerprint(body, lambda: parse_json(body))
         group = self.group_of(fingerprint)
         with self._lock:
             self._requests += 1
-        status, headers, data = self._proxy(group, "POST", "/solve", body=body)
-        return status, headers, data
+        return self._proxy(group, "POST", "/solve", body=body)
 
     # ------------------------------------------------------------------ #
     # /solve_batch
@@ -545,17 +534,19 @@ class RouterService:
         report["solver_counters"] = counters
         return report, fingerprints, outcomes
 
-    def solve_batch_documents(
-        self, documents: Sequence[Mapping[str, Any]]
-    ) -> dict[str, Any]:
-        """Split a sync batch by ownership, fan out, merge in request order."""
+    def _fan_out_batch(
+        self, documents: Sequence[Mapping[str, Any]], mode: str
+    ) -> "tuple[dict[int, list[int]], dict[int, Any]]":
+        """Split a batch by ownership and post every owning group its part
+        concurrently; returns the ownership plan and each group's answer."""
         owned = self._split_batch(documents)
         with self._lock:
             self._requests += len(documents)
             self._batches += 1
+        expected = 202 if mode == "async" else 200
 
         def call_for(group: int, indices: "list[int]") -> Callable[[], Any]:
-            payload = {"requests": [documents[index] for index in indices]}
+            payload = {"mode": mode, "requests": [documents[index] for index in indices]}
 
             def call() -> Any:
                 status, headers, document = self._proxy_json(
@@ -563,7 +554,7 @@ class RouterService:
                 )
                 if status in (429, 503):
                     raise self._propagate_backpressure(status, headers, document)
-                if status != 200:
+                if status != expected or not isinstance(document, Mapping):
                     message = (
                         document.get("error", f"status {status}")
                         if isinstance(document, Mapping)
@@ -575,7 +566,13 @@ class RouterService:
             return call
 
         calls = [(group, call_for(group, indices)) for group, indices in sorted(owned.items())]
-        responses = dict(self._fan_out(calls))
+        return owned, dict(self._fan_out(calls))
+
+    def solve_batch_documents(
+        self, documents: Sequence[Mapping[str, Any]]
+    ) -> dict[str, Any]:
+        """Split a sync batch by ownership, fan out, merge in request order."""
+        owned, responses = self._fan_out_batch(documents, "sync")
         report, fingerprints, outcomes = self._merge_reports(
             [(owned[group], responses[group]) for group in sorted(owned)],
             total=len(documents),
@@ -589,36 +586,7 @@ class RouterService:
         register the composite router job.  The 202 is returned only once
         *every* part is acknowledged (each worker fsynced its sub-batch), so
         the router's ack inherits the workers' durability."""
-        owned = self._split_batch(documents)
-        with self._lock:
-            self._requests += len(documents)
-            self._batches += 1
-
-        def call_for(group: int, indices: "list[int]") -> Callable[[], Any]:
-            payload = {
-                "mode": "async",
-                "requests": [documents[index] for index in indices],
-            }
-
-            def call() -> Any:
-                status, headers, document = self._proxy_json(
-                    group, "POST", "/solve_batch", payload
-                )
-                if status in (429, 503):
-                    raise self._propagate_backpressure(status, headers, document)
-                if status != 202 or not isinstance(document, Mapping):
-                    message = (
-                        document.get("error", f"status {status}")
-                        if isinstance(document, Mapping)
-                        else f"status {status}"
-                    )
-                    raise SerializationError(str(message))
-                return document
-
-            return call
-
-        calls = [(group, call_for(group, indices)) for group, indices in sorted(owned.items())]
-        responses = dict(self._fan_out(calls))
+        owned, responses = self._fan_out_batch(documents, "async")
         created = time.time()
         parts = [
             RouterJobPart(
@@ -950,11 +918,15 @@ class RouterService:
     def observe_http(self, method: str, status: int) -> None:
         self._http_requests_total.labels(method=method, status=str(status)).inc()
 
+    def observe_connection(self) -> None:
+        self._http_connections_total.inc()
+
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         self._fanout.shutdown(wait=False)
+        self._transport.close()
         if self.own_pool:
             self.pool.close()
 
@@ -962,82 +934,13 @@ class RouterService:
 # --------------------------------------------------------------------------- #
 # HTTP layer
 # --------------------------------------------------------------------------- #
-class _RouterRequestHandler(BaseHTTPRequestHandler):
+class _RouterRequestHandler(KeepAliveRequestHandler):
     """The router's HTTP surface -- same routes and wire shapes as the
     single-process :class:`~repro.service.server._ServiceRequestHandler`,
     plus ``POST /admin/resize``."""
 
     server: "RouterHTTPServer"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
-
-    # -- plumbing (mirrors the service handler) ------------------------- #
-    def _send_json(
-        self,
-        payload: Mapping[str, Any],
-        status: int = 200,
-        extra_headers: Mapping[str, str] | None = None,
-    ) -> None:
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        self._send_body(body, status, "application/json", extra_headers=extra_headers)
-
-    def _send_body(
-        self,
-        body: bytes,
-        status: int,
-        content_type: str,
-        extra_headers: Mapping[str, str] | None = None,
-    ) -> None:
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if extra_headers:
-            for name, value in extra_headers.items():
-                self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_backpressure(self, error: BackpressureError) -> None:
-        self._send_json(
-            {
-                "error": str(error),
-                "retry_after_seconds": error.retry_after_seconds,
-            },
-            status=error.status,
-            extra_headers={"Retry-After": str(math.ceil(error.retry_after_seconds))},
-        )
-
-    def _send_error_json(self, message: str, status: int = 400) -> None:
-        self._send_json({"error": message}, status=status)
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
-            raise SerializationError("request body is empty")
-        return self.rfile.read(length)
-
-    def _dispatch(self, handler: Any) -> None:
-        start = time.perf_counter()
-        self._status = 0
-        try:
-            handler()
-        finally:
-            latency_ms = (time.perf_counter() - start) * 1000.0
-            router = self.server.router
-            router.observe_http(self.command, self._status)
-            if not self.server.quiet:
-                record = {
-                    "time_unix": round(time.time(), 3),
-                    "role": "router",
-                    "method": self.command,
-                    "path": self.path,
-                    "status": self._status,
-                    "latency_ms": round(latency_ms, 3),
-                }
-                print(json.dumps(record), file=sys.stderr, flush=True)
+    log_role = "router"
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         self._dispatch(self._handle_get)
@@ -1082,28 +985,16 @@ class _RouterRequestHandler(BaseHTTPRequestHandler):
         router = self.server.router
         try:
             if self.path == "/solve":
-                body = self._read_body()
-                status, headers, data = router.solve_raw(body)
-                content_type = headers.get("Content-Type", "application/json")
+                status, headers, data = router.solve_raw(self._read_body())
                 retry_after = headers.get("Retry-After")
-                extra = {"Retry-After": retry_after} if retry_after else None
-                self._status = status
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(data)))
-                if extra:
-                    for name, value in extra.items():
-                        self.send_header(name, value)
-                self.end_headers()
-                self.wfile.write(data)
+                self._send_body(
+                    data,
+                    status,
+                    headers.get("Content-Type", "application/json"),
+                    extra_headers={"Retry-After": retry_after} if retry_after else None,
+                )
             elif self.path == "/solve_batch":
-                body = self._read_body()
-                try:
-                    payload = json.loads(body.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError) as error:
-                    raise SerializationError(
-                        f"request body is not valid JSON: {error}"
-                    ) from error
+                payload = parse_json(self._read_body())
                 if not isinstance(payload, Mapping) or "requests" not in payload:
                     raise SerializationError("a batch document needs a 'requests' list")
                 mode = str(payload.get("mode", "sync"))
@@ -1119,13 +1010,7 @@ class _RouterRequestHandler(BaseHTTPRequestHandler):
                 else:
                     self._send_json(router.solve_batch_documents(documents))
             elif self.path == "/admin/resize":
-                body = self._read_body()
-                try:
-                    payload = json.loads(body.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError) as error:
-                    raise SerializationError(
-                        f"request body is not valid JSON: {error}"
-                    ) from error
+                payload = parse_json(self._read_body())
                 if not isinstance(payload, Mapping) or "num_groups" not in payload:
                     raise SerializationError("resize needs {'num_groups': N}")
                 try:
@@ -1146,10 +1031,8 @@ class _RouterRequestHandler(BaseHTTPRequestHandler):
             self._send_error_json(f"internal error: {error}", status=500)
 
 
-class RouterHTTPServer(ThreadingHTTPServer):
+class RouterHTTPServer(KeepAliveHTTPServer):
     """Threading HTTP server that owns a :class:`RouterService`."""
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -1157,14 +1040,8 @@ class RouterHTTPServer(ThreadingHTTPServer):
         router: RouterService,
         quiet: bool = True,
     ):
-        super().__init__(address, _RouterRequestHandler)
+        super().__init__(address, _RouterRequestHandler, router, quiet=quiet)
         self.router = router
-        self.quiet = quiet
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[0], self.server_address[1]
-        return f"http://{host}:{port}"
 
 
 def start_router(
@@ -1172,11 +1049,7 @@ def start_router(
 ) -> tuple[RouterHTTPServer, threading.Thread]:
     """Start the router HTTP front-end on a background thread."""
     server = RouterHTTPServer((host, port), router, quiet=quiet)
-    thread = threading.Thread(
-        target=server.serve_forever, name="repro-router", daemon=True
-    )
-    thread.start()
-    return server, thread
+    return server, server.start("repro-router")
 
 
 def run_router(
@@ -1189,14 +1062,6 @@ def run_router(
     WAL) -- so a clean shutdown of the pool topology leaves no torn WAL
     tail in any group directory.
     """
-    server = RouterHTTPServer((host, port), router, quiet=quiet)
-    restore = install_shutdown_signals(server)
-    print(f"allocation router listening on {server.url}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        restore()
-        server.server_close()
-        router.close()
+    RouterHTTPServer((host, port), router, quiet=quiet).serve_until_signalled(
+        "allocation router"
+    )

@@ -221,6 +221,9 @@ class AllocationService:
             "HTTP requests served, by method and status code.",
             label_names=("method", "status"),
         )
+        self._http_connections_total = metrics.counter(
+            "repro_http_connections_total", "HTTP connections accepted."
+        )
         self._solve_latency = metrics.histogram(
             "repro_solve_latency_seconds",
             "End-to-end latency of solver-tier requests.",
@@ -364,6 +367,10 @@ class AllocationService:
     def observe_http(self, method: str, status: int) -> None:
         """Count one served HTTP request (called by the request handler)."""
         self._http_requests_total.labels(method=method, status=str(status)).inc()
+
+    def observe_connection(self) -> None:
+        """Count one accepted HTTP connection (called by the request handler)."""
+        self._http_connections_total.inc()
 
     # ------------------------------------------------------------------ #
     # Solving
@@ -642,21 +649,46 @@ class AllocationService:
 # --------------------------------------------------------------------------- #
 # HTTP layer
 # --------------------------------------------------------------------------- #
-class _ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Routes the service endpoints onto an :class:`AllocationService`.
+#: Retry hint of a ``503`` answered while the server drains: a restarted
+#: worker or server is back within about a second.
+DRAIN_RETRY_AFTER_SECONDS = 1.0
 
-    Every request is counted in ``repro_http_requests_total`` and, unless
-    the server runs quiet, logged as one structured JSON line on stderr
-    (method, path, status, latency; the request fingerprint when the route
-    produced one) -- replacing the stdlib's free-text access log.
+#: How long ``server_close()`` waits for requests already being handled.
+DRAIN_WAIT_SECONDS = 30.0
+
+
+def parse_json(body: bytes) -> Any:
+    """Decode a JSON request body; malformed input is a 400."""
+    try:
+        return json.loads(body.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        raise SerializationError(f"request body is not valid JSON: {error}") from error
+
+
+class KeepAliveRequestHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 keep-alive plumbing shared by the service and the router.
+
+    Accepted sockets set ``TCP_NODELAY`` and the buffered ``wfile`` sends
+    status line, headers and body in one write, so a reused connection
+    never waits for a delayed ACK.  The declared body is read before the
+    route runs (a bad ``Content-Length`` is a 400 that closes the
+    connection), so every answer leaves the connection at a request
+    boundary.  A draining server answers 503 + ``Retry-After`` and closes.
+    Every request is counted and, unless the server runs quiet, logged as
+    one structured JSON line on stderr.
     """
 
-    server: "AllocationHTTPServer"
+    server: "KeepAliveHTTPServer"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    wbufsize = -1
+    #: ``role`` field of the access log line (``None`` leaves it out).
+    log_role: str | None = None
 
-    # ------------------------------------------------------------------ #
-    # Plumbing
-    # ------------------------------------------------------------------ #
+    def setup(self) -> None:
+        super().setup()
+        self.server.app.observe_connection()
+
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         # The stdlib access log is replaced by _dispatch's JSON line.
         pass
@@ -671,9 +703,6 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         # outcome documents already encode non-finite floats as null.
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
         self._send_body(body, status, "application/json", extra_headers=extra_headers)
-
-    def _send_text(self, text: str, status: int = 200, content_type: str = "text/plain") -> None:
-        self._send_body(text.encode("utf-8"), status, content_type)
 
     def _send_body(
         self,
@@ -692,55 +721,172 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_backpressure(self, error: BackpressureError) -> None:
+    def _send_backpressure(self, error: BackpressureError, close: bool = False) -> None:
         """429/503 + ``Retry-After`` (integral seconds, rounded up)."""
+        headers = {"Retry-After": str(math.ceil(error.retry_after_seconds))}
+        if close:
+            headers["Connection"] = "close"
         self._send_json(
             {
                 "error": str(error),
                 "retry_after_seconds": error.retry_after_seconds,
             },
             status=error.status,
-            extra_headers={"Retry-After": str(math.ceil(error.retry_after_seconds))},
+            extra_headers=headers,
         )
 
     def _send_error_json(self, message: str, status: int = 400) -> None:
         self._send_json({"error": message}, status=status)
 
-    def _read_json_body(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
+    def _read_body(self) -> bytes:
+        """The request body (read before the route ran); empty is a 400."""
+        if not self._body:
             raise SerializationError("request body is empty")
-        try:
-            return json.loads(self.rfile.read(length).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise SerializationError(f"request body is not valid JSON: {error}") from error
+        return self._body
 
-    # ------------------------------------------------------------------ #
-    # Routes
-    # ------------------------------------------------------------------ #
-    def _dispatch(self, handler: Any) -> None:
+    def _take_body(self) -> bool:
+        """Read the declared body; ``False`` if its length is not a
+        non-negative integer (the body cannot be skipped)."""
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            return False
+        if length < 0:
+            return False
+        self._body = self.rfile.read(length) if length else b""
+        return True
+
+    def _dispatch(self, route: Callable[[], None]) -> None:
         """Run one route under the request counter + structured access log."""
         start = time.perf_counter()
         self._status = 0
         self._log_fingerprint: str | None = None
         try:
-            handler()
+            # "Connection: close" also sets close_connection.
+            if not self._take_body():
+                self._send_json(
+                    {"error": "Content-Length is not a non-negative integer"},
+                    status=400,
+                    extra_headers={"Connection": "close"},
+                )
+            elif not self.server.begin_request():
+                message = "server is shutting down; retry later"
+                self._send_backpressure(
+                    BackpressureError(503, DRAIN_RETRY_AFTER_SECONDS, message), close=True
+                )
+            else:
+                try:
+                    route()
+                finally:
+                    self.server.end_request()
         finally:
             latency_ms = (time.perf_counter() - start) * 1000.0
-            service = self.server.service
-            service.observe_http(self.command, self._status)
+            self.server.app.observe_http(self.command, self._status)
             if not self.server.quiet:
-                record: dict[str, Any] = {
-                    "time_unix": round(time.time(), 3),
-                    "method": self.command,
-                    "path": self.path,
-                    "status": self._status,
-                    "latency_ms": round(latency_ms, 3),
-                }
+                record: dict[str, Any] = {"time_unix": round(time.time(), 3)}
+                if self.log_role is not None:
+                    record["role"] = self.log_role
+                record.update(
+                    method=self.command,
+                    path=self.path,
+                    status=self._status,
+                    latency_ms=round(latency_ms, 3),
+                )
                 if self._log_fingerprint is not None:
                     record["fingerprint"] = self._log_fingerprint
                 print(json.dumps(record), file=sys.stderr, flush=True)
 
+
+class KeepAliveHTTPServer(ThreadingHTTPServer):
+    """Threading HTTP/1.1 server for a service-like ``app`` that drains.
+
+    ``app`` provides ``observe_http(method, status)`` and
+    ``observe_connection()``.  :meth:`shutdown` starts the drain: requests
+    arriving afterwards on open keep-alive connections are refused with a
+    ``503``, and :meth:`server_close` waits (up to
+    :data:`DRAIN_WAIT_SECONDS`) for the requests already running, so the
+    caller's ``app.close()`` that follows never races a live route.
+    ``quiet`` silences the per-request JSON access log.
+    """
+
+    daemon_threads = True
+
+    def __init__(
+        self,
+        address: tuple[str, int],
+        handler: type[KeepAliveRequestHandler],
+        app: Any,
+        quiet: bool = True,
+    ):
+        self._drain = threading.Condition()
+        self._draining = False
+        self._inflight = 0
+        super().__init__(address, handler)
+        self.app = app
+        self.quiet = quiet
+
+    @property
+    def url(self) -> str:
+        host, port = self.server_address[0], self.server_address[1]
+        return f"http://{host}:{port}"
+
+    def start(self, name: str) -> threading.Thread:
+        """Serve on a daemon background thread (the caller owns shutdown)."""
+        thread = threading.Thread(target=self.serve_forever, name=name, daemon=True)
+        thread.start()
+        return thread
+
+    def serve_until_signalled(self, banner: str) -> None:
+        """Serve on this thread until SIGTERM/SIGINT, then drain: stop
+        accepting, let running requests finish, and close ``app``."""
+        restore = install_shutdown_signals(self)
+        print(f"{banner} listening on {self.url}", flush=True)
+        try:
+            self.serve_forever()
+        except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
+            pass
+        finally:
+            restore()
+            self.server_close()
+            self.app.close()
+
+    def begin_request(self) -> bool:
+        """Admit one request, unless the server is draining."""
+        with self._drain:
+            if self._draining:
+                return False
+            self._inflight += 1
+            return True
+
+    def end_request(self) -> None:
+        with self._drain:
+            self._inflight -= 1
+            self._drain.notify_all()
+
+    def shutdown(self) -> None:
+        with self._drain:
+            self._draining = True
+        super().shutdown()
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._drain:
+            self._draining = True
+            self._drain.wait_for(lambda: self._inflight == 0, timeout=DRAIN_WAIT_SECONDS)
+
+
+class _ServiceRequestHandler(KeepAliveRequestHandler):
+    """Routes the service endpoints onto an :class:`AllocationService`.
+
+    The structured access log line carries the request fingerprint when
+    the route produced one.
+    """
+
+    server: "AllocationHTTPServer"
+
+    # ------------------------------------------------------------------ #
+    # Routes
+    # ------------------------------------------------------------------ #
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         self._dispatch(self._handle_get)
 
@@ -759,9 +905,10 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         elif self.path == "/stats":
             self._send_json(service.stats())
         elif self.path == "/metrics":
-            self._send_text(
-                service.metrics_text(),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
+            self._send_body(
+                service.metrics_text().encode("utf-8"),
+                200,
+                "text/plain; version=0.0.4; charset=utf-8",
             )
         elif self.path.startswith("/trace/"):
             fingerprint = self.path[len("/trace/"):]
@@ -786,7 +933,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     def _handle_post(self) -> None:
         service = self.server.service
         try:
-            payload = self._read_json_body()
+            payload = parse_json(self._read_body())
             if self.path == "/solve":
                 request = request_from_dict(payload)
                 with service.sync_admission():
@@ -881,14 +1028,12 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_json(document)
 
 
-class AllocationHTTPServer(ThreadingHTTPServer):
+class AllocationHTTPServer(KeepAliveHTTPServer):
     """Threading HTTP server that owns an :class:`AllocationService`.
 
     ``quiet`` silences the per-request structured JSON access log
     (requests are still counted in ``repro_http_requests_total``).
     """
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -896,14 +1041,8 @@ class AllocationHTTPServer(ThreadingHTTPServer):
         service: AllocationService,
         quiet: bool = True,
     ):
-        super().__init__(address, _ServiceRequestHandler)
+        super().__init__(address, _ServiceRequestHandler, service, quiet=quiet)
         self.service = service
-        self.quiet = quiet
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[0], self.server_address[1]
-        return f"http://{host}:{port}"
 
 
 def start_server(
@@ -915,9 +1054,7 @@ def start_server(
     service.close()``.
     """
     server = AllocationHTTPServer((host, port), service, quiet=quiet)
-    thread = threading.Thread(target=server.serve_forever, name="repro-serve", daemon=True)
-    thread.start()
-    return server, thread
+    return server, server.start("repro-serve")
 
 
 def install_shutdown_signals(server: "ThreadingHTTPServer") -> "Callable[[], None]":
@@ -955,14 +1092,6 @@ def run_server(
     final-fsyncs and closes every WAL segment, and closes the store -- so a
     clean shutdown never leaves a torn WAL tail or an abandoned job.
     """
-    server = AllocationHTTPServer((host, port), service, quiet=quiet)
-    restore = install_shutdown_signals(server)
-    print(f"allocation service listening on {server.url}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        restore()
-        server.server_close()
-        service.close()
+    AllocationHTTPServer((host, port), service, quiet=quiet).serve_until_signalled(
+        "allocation service"
+    )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 
 import pytest
 
@@ -50,6 +51,24 @@ class TestCanonicalValue:
     def test_output_is_valid_json(self):
         text = canonical_json({"x": [1, 2.5], "y": {"z": None}})
         assert json.loads(text) == {"x": [1.0, 2.5], "y": {"z": None}}
+
+    def test_subclasses_and_tuples_canonicalise_like_their_base_types(self):
+        # Exact types take the fast path, everything else the generic one;
+        # both must produce the same text.
+        class Number(float):
+            pass
+
+        class Document(OrderedDict):
+            pass
+
+        exact = {"a": [1.0, -0.0, 3, True, None, "s"], "3": {"k": 2.5}, "t": [0.0, 1.0]}
+        generic = Document(
+            a=(Number(1.0), Number(-0.0), 3, True, None, "s"),
+            **{"3": Document(k=Number(2.5))},
+            t=(0, 1),
+        )
+        assert canonical_json(generic) == canonical_json(exact)
+        assert canonical_json({3: 1}) == canonical_json({"3": 1.0})
 
 
 class TestFingerprintStability:
